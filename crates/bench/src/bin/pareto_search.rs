@@ -15,12 +15,14 @@
 //!
 //! Flags come from the shared `smart_bench::cli` module (see `--help`);
 //! `--check` verifies the search invariants (finite objectives,
-//! frontier ⊆ survivors, no dominated frontier point, and a sequential
-//! `--jobs 1` rerun producing the identical outcome).
+//! frontier ⊆ survivors, no dominated frontier point) and reruns the
+//! search sequentially (`--jobs 1`) on fresh caches, so every value is
+//! recomputed: the rerun must produce the identical survivors, frontier,
+//! objectives, survivor ILP allocations and frontier replays.
 
 use smart_bench::cli::{self, CliSpec, ExtraFlag, Format};
-use smart_bench::frontier_table;
-use smart_search::{dominates, search, SearchConfig, SearchOutcome, SearchSpace};
+use smart_bench::{frontier_table, ExperimentContext};
+use smart_search::{dominates, search, EvaluatedPoint, SearchConfig, SearchOutcome, SearchSpace};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -59,11 +61,31 @@ fn check_outcome(out: &SearchOutcome, rerun: &SearchOutcome) -> Vec<String> {
     if rerun.frontier != out.frontier || rerun.survivors != out.survivors {
         bad.push("sequential --jobs 1 rerun produced a different outcome".to_owned());
     }
+    // Branch & bound node counts depend on which warm bases a solve found,
+    // so only the allocation itself is compared.
+    let allocation = |p: &EvaluatedPoint| {
+        p.ilp.map(|m| {
+            (
+                m.objective.to_bits(),
+                m.shift_bytes,
+                m.random_bytes,
+                m.dram_bytes,
+            )
+        })
+    };
     for (i, (a, b)) in out.points.iter().zip(&rerun.points).enumerate() {
         if a.objectives != b.objectives {
             bad.push(format!(
                 "point {i}: objectives differ from the --jobs 1 rerun"
             ));
+        }
+        if allocation(a) != allocation(b) {
+            bad.push(format!(
+                "point {i}: ILP allocation differs from the --jobs 1 rerun"
+            ));
+        }
+        if a.replay != b.replay {
+            bad.push(format!("point {i}: replay differs from the --jobs 1 rerun"));
         }
     }
     bad
@@ -185,7 +207,8 @@ fn main() -> ExitCode {
     }
 
     if args.check {
-        let rerun = match search(&space, &SearchConfig::new(1), &ctx.cache, &ctx.timing) {
+        let fresh = ExperimentContext::single_threaded();
+        let rerun = match search(&space, &SearchConfig::new(1), &fresh.cache, &fresh.timing) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("check rerun failed: {e}");

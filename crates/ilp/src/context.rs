@@ -26,7 +26,10 @@
 //! The context is `Sync`: one instance can be shared across the experiment
 //! runner's worker threads (the map is mutex-guarded, the counters are
 //! atomic), matching how `smart_report::parallel_map` fans sweep points
-//! out.
+//! out. Sharing makes warm-start reuse depend on which thread solves
+//! first; a caller that needs counters independent of scheduling gives
+//! each independent chain of solves its own [`SolverContext::fork`] and
+//! folds the forks back with [`SolverContext::absorb`] in a fixed order.
 
 use crate::problem::Problem;
 use crate::revised::{Basis, Status};
@@ -36,7 +39,7 @@ use smart_units::codec::content_hash;
 use smart_units::codec::{ByteReader, ByteWriter, Store};
 use smart_units::sync::lock;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,6 +89,17 @@ pub struct SolverContext {
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
+    /// Keys stored since this context was forked; `None` on a context
+    /// that is not a fork. Exactly what [`SolverContext::absorb`] folds
+    /// back into the parent.
+    fresh: Option<Mutex<FreshKeys>>,
+}
+
+/// The keys a fork stored itself (as opposed to inherited).
+#[derive(Debug, Default)]
+struct FreshKeys {
+    bases: BTreeSet<u64>,
+    solutions: BTreeSet<u128>,
 }
 
 impl SolverContext {
@@ -124,6 +138,49 @@ impl SolverContext {
         lock(&self.tracer).clone()
     }
 
+    /// A child context for one independent chain of solves: it starts
+    /// with this context's stored bases, memoized solutions and tracer,
+    /// and with zeroed counters. Its solves never touch this context
+    /// until [`SolverContext::absorb`] folds them back.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        Self {
+            bases: Mutex::new(lock(&self.bases).clone()),
+            solutions: Mutex::new(lock(&self.solutions).clone()),
+            tracer: Mutex::new(self.tracer()),
+            fresh: Some(Mutex::default()),
+            ..Self::default()
+        }
+    }
+
+    /// Folds a child back in: the bases and solutions the child stored
+    /// since its [`SolverContext::fork`] (every entry, if `child` is not a
+    /// fork) overwrite this context's entries under the same keys, and the
+    /// child's counters add to this context's. Absorbing several children
+    /// in a fixed order yields the same stored bytes whatever order they
+    /// finished in.
+    pub fn absorb(&self, child: Self) {
+        let fresh = child.fresh.as_ref().map(lock);
+        for (&fp, basis) in lock(&child.bases).iter() {
+            if fresh.as_ref().is_none_or(|f| f.bases.contains(&fp)) {
+                self.store(fp, Arc::clone(basis));
+            }
+        }
+        for (&key, solution) in lock(&child.solutions).iter() {
+            if fresh.as_ref().is_none_or(|f| f.solutions.contains(&key)) {
+                self.solution_store(key, Arc::clone(solution));
+            }
+        }
+        let s = child.stats();
+        self.warm_attempts
+            .fetch_add(s.warm_attempts, Ordering::Relaxed);
+        self.warm_hits.fetch_add(s.warm_hits, Ordering::Relaxed);
+        self.cold_solves.fetch_add(s.cold_solves, Ordering::Relaxed);
+        self.solution_hits
+            .fetch_add(s.solution_hits, Ordering::Relaxed);
+        self.note_search(s.pivots, s.refactorizations, s.nodes);
+    }
+
     /// Folds one finished search's work counters into the context.
     pub(crate) fn note_search(&self, pivots: u64, refactorizations: u64, nodes: u64) {
         self.pivots.fetch_add(pivots, Ordering::Relaxed);
@@ -142,6 +199,9 @@ impl SolverContext {
 
     pub(crate) fn store(&self, fp: u64, basis: Arc<Basis>) {
         lock(&self.bases).insert(fp, basis);
+        if let Some(fresh) = &self.fresh {
+            lock(fresh).bases.insert(fp);
+        }
     }
 
     pub(crate) fn note_warm_hit(&self) {
@@ -162,6 +222,9 @@ impl SolverContext {
 
     pub(crate) fn solution_store(&self, key: u128, solution: Arc<MipSolution>) {
         lock(&self.solutions).insert(key, solution);
+        if let Some(fresh) = &self.fresh {
+            lock(fresh).solutions.insert(key);
+        }
     }
 
     /// Serializes every stored basis and memoized solution into a store
@@ -507,6 +570,85 @@ mod tests {
             matches!(err, smart_units::SmartError::Store { .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn forks_inherit_and_absorb_folds_back() {
+        use crate::solver::Solver;
+        let parent = SolverContext::new();
+        let _ = Solver::new().solve_with(&knapsack(2.0, 1.0), &parent);
+        let before = parent.stats();
+
+        let child = parent.fork();
+        assert_eq!(child.stats().pivots, 0, "counters start at zero");
+        let _ = Solver::new().solve_with(&knapsack(2.0, 1.0), &child);
+        assert_eq!(child.stats().solution_hits, 1, "parent's memo is inherited");
+        let _ = Solver::new().solve_with(&knapsack(5.0, 1.0), &child);
+        assert_eq!(
+            child.stats().warm_attempts,
+            1,
+            "parent's basis is inherited"
+        );
+        let grown = child.stats();
+        assert_eq!(parent.stats(), before, "a fork never touches its parent");
+
+        parent.absorb(child);
+        let after = parent.stats();
+        assert_eq!(after.stored_solutions, 2, "the child's new solution");
+        assert_eq!(after.solution_hits, before.solution_hits + 1);
+        assert_eq!(after.warm_attempts, before.warm_attempts + 1);
+        assert_eq!(after.pivots, before.pivots + grown.pivots);
+        assert_eq!(after.nodes, before.nodes + grown.nodes);
+        let _ = Solver::new().solve_with(&knapsack(5.0, 1.0), &parent);
+        assert_eq!(parent.stats().solution_hits, after.solution_hits + 1);
+    }
+
+    #[test]
+    fn absorb_order_alone_fixes_the_stored_bytes() {
+        use crate::solver::Solver;
+        // Two children store entries under the same structure key; a third
+        // stores nothing and must not restore the inherited basis.
+        let run = |a_first: bool| {
+            let parent = SolverContext::new();
+            let _ = Solver::new().solve_with(&knapsack(1.0, 2.0), &parent);
+            let (a, b, idle) = (parent.fork(), parent.fork(), parent.fork());
+            let solve_a = || Solver::new().solve_with(&knapsack(3.0, 2.0), &a);
+            let solve_b = || Solver::new().solve_with(&knapsack(6.0, 2.0), &b);
+            if a_first {
+                let _ = (solve_a(), solve_b());
+            } else {
+                let _ = (solve_b(), solve_a());
+            }
+            parent.absorb(a);
+            parent.absorb(b);
+            parent.absorb(idle);
+            (parent.to_bytes(), parent.stats())
+        };
+        let (bytes, stats) = run(true);
+        assert_eq!((bytes, stats), run(false));
+        assert_eq!(stats.stored_solutions, 3);
+        assert_eq!(stats.stored_bases, 1);
+
+        // The last absorbed writer of a key wins.
+        let parent = SolverContext::new();
+        let (a, b) = (parent.fork(), parent.fork());
+        a.store(
+            9,
+            Arc::new(Basis {
+                basic: vec![0],
+                status: vec![Status::Basic],
+            }),
+        );
+        b.store(
+            9,
+            Arc::new(Basis {
+                basic: vec![1],
+                status: vec![Status::Lower, Status::Basic],
+            }),
+        );
+        parent.absorb(a);
+        parent.absorb(b);
+        assert_eq!(parent.lookup(9).expect("stored").basic, vec![1]);
     }
 
     #[test]

@@ -254,20 +254,13 @@ impl Solver {
         ctx: Option<&SolverContext>,
         on_incumbent: &mut dyn FnMut(&MipSolution),
     ) -> MipResult {
-        let int_vars = problem.integer_vars();
-        let sign = match problem.sense {
-            Sense::Maximize => 1.0,
-            Sense::Minimize => -1.0,
-        };
-
-        let form = StandardForm::build(problem);
-        let fp = ctx.map(|_| fingerprint(problem));
         // Exact-match solution memo: branch & bound is deterministic, so a
         // solve of an identical (problem, seed, config) triple replays the
         // stored solution verbatim — objective, values, node count, and
         // optimality flag included — without touching the tree. This is
         // the path that makes warm `--cache-dir` reruns of ILP-heavy
-        // experiments near-free.
+        // experiments near-free, so it runs before any of the search's
+        // set-up (standard form, structural fingerprint).
         let memo_key = ctx.map(|_| {
             solution_key(
                 problem,
@@ -286,6 +279,13 @@ impl Solver {
                 };
             }
         }
+        let int_vars = problem.integer_vars();
+        let sign = match problem.sense {
+            Sense::Maximize => 1.0,
+            Sense::Minimize => -1.0,
+        };
+        let form = StandardForm::build(problem);
+        let fp = ctx.map(|_| fingerprint(problem));
         // Per-solve trace lane, keyed by the solution memo key so
         // concurrent solves of distinct problems never interleave on one
         // lane. Virtual time is cumulative simplex pivots within this

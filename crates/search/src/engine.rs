@@ -10,16 +10,21 @@
 //!    [`parallel_map`] through a shared
 //!    [`EvalCache`]. These are the objectives of record — the frontier is
 //!    exact, not an approximation.
-//! 2. **ILP enrichment** (ε-survivors only): the allocation compiler runs
-//!    sequentially in enumeration order through the timing cache's shared
-//!    [`SolverContext`], so each config
-//!    warm-starts from its grid neighbor.
+//! 2. **ILP enrichment** (ε-survivors only): the survivors split into one
+//!    block per effective ILP prefetch window, and the blocks run in
+//!    parallel. Each block is one warm-start chain: it compiles its points
+//!    in enumeration order through its own [`SolverContext::fork`] of the
+//!    timing cache's solver context, so each config warm-starts from its
+//!    grid neighbor. The forks are absorbed back in block order.
 //! 3. **Replay confirmation** (frontier only): the cycle-level
 //!    `smart-timing` simulator cross-checks each frontier point's latency.
 //!
-//! Determinism: stage 1 computes pure values (safe under any `jobs`),
-//! stages 2-3 run in canonical order, so the outcome is identical across
-//! `--jobs` values and cold-vs-warm cache runs.
+//! Determinism: stage 1 computes pure values (safe under any `jobs`). The
+//! stage-2 blocks depend only on the space, each runs sequentially on its
+//! own fork, and the forks are absorbed in a fixed order; stage 3 runs in
+//! canonical order. The outcome, the solver counters, the stored bytes and
+//! the solver trace are therefore identical across `--jobs` values, and
+//! the outcome across cold-vs-warm cache runs.
 
 // lint:allow-file(index, grid points are indexed by the axis lengths that generated them)
 
@@ -33,8 +38,11 @@ use smart_core::scheme::Scheme;
 use smart_core::SolverContext;
 use smart_report::pool::parallel_map;
 use smart_systolic::models::ModelId;
-use smart_timing::{compile_scheme_layer, simulate_scheme, TimingCache, TimingConfig};
+use smart_timing::{
+    compile_scheme_layer, prefetch_window, simulate_scheme, TimingCache, TimingConfig,
+};
 use smart_units::{Result, SmartError, Time};
+use std::collections::BTreeMap;
 
 /// What to evaluate and how hard to prune.
 #[derive(Debug, Clone, Copy)]
@@ -51,8 +59,9 @@ pub struct SearchConfig {
     /// the exact frontier always survives. `0.0` prunes only strictly
     /// worse-everywhere points.
     pub epsilon: f64,
-    /// Worker threads for the analytic fan-out (stages 2-3 are
-    /// sequential by design).
+    /// Worker threads for the analytic fan-out and for the ILP stage's
+    /// prefetch-window blocks (at most one thread per block; the replay
+    /// stage is sequential).
     pub jobs: usize,
 }
 
@@ -203,6 +212,27 @@ fn objectives_of(scheme: &Scheme, latency: Time, energy: smart_units::Energy) ->
     }
 }
 
+/// The points at analytic depth (no ILP metrics, no replay yet), which the
+/// later stages fill in place.
+fn analytic_points(
+    params: Vec<GeometryParams>,
+    schemes: Vec<Scheme>,
+    objectives: Vec<Objectives>,
+) -> Vec<EvaluatedPoint> {
+    params
+        .into_iter()
+        .zip(schemes)
+        .zip(objectives)
+        .map(|((params, scheme), objectives)| EvaluatedPoint {
+            params,
+            scheme,
+            objectives,
+            ilp: None,
+            replay: None,
+        })
+        .collect()
+}
+
 /// Sums the ILP allocation metrics of every layer of `model` on `scheme`,
 /// compiled through `solver` (warm-started when the caller shares it
 /// across neighboring points).
@@ -229,6 +259,26 @@ fn ilp_metrics(
         m.dram_bytes += dram;
     }
     Ok(m)
+}
+
+/// The survivors grouped into warm-start chains: one block per effective
+/// ILP prefetch window (static allocation compiles the same ILPs as a
+/// window of 1), each in enumeration order. The window sets the ILP's
+/// lifespans and with them its constraint structure, so different windows
+/// normally compile different problems and share no stored basis or
+/// memoized solution; where two windows do compile the same problem, each
+/// block solves it itself. Blocks come widest window first: wider windows
+/// cost more pivots, and starting the dearest chains first balances the
+/// pool.
+fn window_blocks(points: &[EvaluatedPoint], survivors: &[usize]) -> Vec<Vec<usize>> {
+    let mut blocks: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for &i in survivors {
+        blocks
+            .entry(prefetch_window(points[i].scheme.policy))
+            .or_default()
+            .push(i);
+    }
+    blocks.into_values().rev().collect()
 }
 
 /// Searches `space` through the staged engine: parallel analytic
@@ -272,40 +322,49 @@ pub fn search(
 
     let survivors = epsilon_survivors(&objectives, cfg.epsilon);
     let frontier = pareto_frontier(&objectives);
+    let mut points = analytic_points(params, schemes, objectives);
 
-    // Stage 2: ILP enrichment of the survivors, sequentially in
-    // enumeration order through the cache's shared solver context so each
-    // point warm-starts from its grid neighbor.
+    // Stage 2: ILP enrichment of the survivors, one warm-start chain per
+    // prefetch-window block, the blocks in parallel. Each block compiles
+    // in enumeration order through its own fork of the cache's solver
+    // context, and the forks are absorbed in block order, so results,
+    // counters and stored bytes do not depend on `jobs`.
     let model = cfg.model.build();
-    let mut ilp: Vec<Option<IlpMetrics>> = vec![None; schemes.len()];
-    let mut ilp_compiles = 0u64;
-    for &i in &survivors {
-        ilp[i] = Some(ilp_metrics(
-            &schemes[i],
-            &model,
-            cfg.timing.max_iterations,
-            timing.solver(),
-        )?);
-        ilp_compiles += model.layers.len() as u64;
+    let solver = timing.solver();
+    let blocks = window_blocks(&points, &survivors);
+    let enriched = parallel_map(cfg.jobs.max(1), &blocks, |block| {
+        let fork = solver.fork();
+        let metrics: Result<Vec<IlpMetrics>> = block
+            .iter()
+            .map(|&i| ilp_metrics(&points[i].scheme, &model, cfg.timing.max_iterations, &fork))
+            .collect();
+        (fork, metrics)
+    });
+    for (block, (fork, metrics)) in blocks.iter().zip(enriched) {
+        solver.absorb(fork);
+        for (&i, m) in block.iter().zip(metrics?) {
+            points[i].ilp = Some(m);
+        }
     }
+    let ilp_compiles = survivors.len() as u64 * model.layers.len() as u64;
 
     // Stage 3: cycle-level confirmation of the frontier only.
-    let mut replay: Vec<Option<ReplayCheck>> = vec![None; schemes.len()];
     for &i in &frontier {
-        let report = timing.report(&schemes[i], cfg.model, &cfg.timing)?;
+        let p = &mut points[i];
+        let report = timing.report(&p.scheme, cfg.model, &cfg.timing)?;
         let latency = report.total_time();
-        replay[i] = Some(ReplayCheck {
+        p.replay = Some(ReplayCheck {
             latency,
-            vs_analytic: latency.as_s() / objectives[i].latency.as_s(),
+            vs_analytic: latency.as_s() / p.objectives.latency.as_s(),
         });
     }
 
     let eval_after = eval.stats();
     let timing_after = timing.stats();
-    let solver_after = timing.solver().stats();
+    let solver_after = solver.stats();
     let stats = SearchStats {
-        space: params.len(),
-        pruned: params.len() - survivors.len(),
+        space: points.len(),
+        pruned: points.len() - survivors.len(),
         survivors: survivors.len(),
         frontier: frontier.len(),
         ilp_compiles,
@@ -323,22 +382,6 @@ pub fn search(
         cold_solves: solver_after.cold_solves - solver_before.cold_solves,
         solution_hits: solver_after.solution_hits - solver_before.solution_hits,
     };
-
-    let points = params
-        .into_iter()
-        .zip(schemes)
-        .zip(objectives)
-        .zip(ilp.into_iter().zip(replay))
-        .map(
-            |(((params, scheme), objectives), (ilp, replay))| EvaluatedPoint {
-                params,
-                scheme,
-                objectives,
-                ilp,
-                replay,
-            },
-        )
-        .collect();
     Ok(SearchOutcome {
         points,
         survivors,
@@ -362,24 +405,27 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
     let schemes = build_schemes(&params)?;
     let model = cfg.model.build();
 
-    let mut objectives = Vec::with_capacity(schemes.len());
-    let mut ilp = Vec::with_capacity(schemes.len());
+    let objectives: Vec<Objectives> = schemes
+        .iter()
+        .map(|scheme| {
+            let report = evaluate(scheme, &model, cfg.batch);
+            objectives_of(scheme, report.total_time, report.energy_per_image())
+        })
+        .collect();
+    let survivors: Vec<usize> = (0..schemes.len()).collect();
+    let frontier = pareto_frontier(&objectives);
+    let mut points = analytic_points(params, schemes, objectives);
+
     let mut solver_totals = SearchStats::default();
-    for scheme in &schemes {
-        let report = evaluate(scheme, &model, cfg.batch);
-        objectives.push(objectives_of(
-            scheme,
-            report.total_time,
-            report.energy_per_image(),
-        ));
+    for p in &mut points {
         // A fresh context per config: nothing warm-starts, by construction.
         let solver = SolverContext::new();
-        ilp.push(Some(ilp_metrics(
-            scheme,
+        p.ilp = Some(ilp_metrics(
+            &p.scheme,
             &model,
             cfg.timing.max_iterations,
             &solver,
-        )?));
+        )?);
         let s = solver.stats();
         solver_totals.warm_attempts += s.warm_attempts;
         solver_totals.warm_hits += s.warm_hits;
@@ -387,47 +433,28 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
         solver_totals.solution_hits += s.solution_hits;
     }
 
-    let survivors: Vec<usize> = (0..schemes.len()).collect();
-    let frontier = pareto_frontier(&objectives);
-
-    let mut replay: Vec<Option<ReplayCheck>> = vec![None; schemes.len()];
     for &i in &frontier {
-        let report = simulate_scheme(&schemes[i], &model, &cfg.timing)?;
+        let p = &mut points[i];
+        let report = simulate_scheme(&p.scheme, &model, &cfg.timing)?;
         let latency = report.total_time();
-        replay[i] = Some(ReplayCheck {
+        p.replay = Some(ReplayCheck {
             latency,
-            vs_analytic: latency.as_s() / objectives[i].latency.as_s(),
+            vs_analytic: latency.as_s() / p.objectives.latency.as_s(),
         });
     }
 
     let stats = SearchStats {
-        space: params.len(),
+        space: points.len(),
         pruned: 0,
         survivors: survivors.len(),
         frontier: frontier.len(),
-        ilp_compiles: schemes.len() as u64 * model.layers.len() as u64,
+        ilp_compiles: points.len() as u64 * model.layers.len() as u64,
         eval_hits: 0,
-        eval_misses: schemes.len() as u64,
+        eval_misses: points.len() as u64,
         timing_hits: 0,
         timing_misses: frontier.len() as u64,
         ..solver_totals
     };
-
-    let points = params
-        .into_iter()
-        .zip(schemes)
-        .zip(objectives)
-        .zip(ilp.into_iter().zip(replay))
-        .map(
-            |(((params, scheme), objectives), (ilp, replay))| EvaluatedPoint {
-                params,
-                scheme,
-                objectives,
-                ilp,
-                replay,
-            },
-        )
-        .collect();
     Ok(SearchOutcome {
         points,
         survivors,
@@ -498,9 +525,18 @@ mod tests {
         assert_eq!(out.stats.pruned + out.stats.survivors, out.stats.space);
     }
 
+    /// The tiny space with both window-1 ILP sources (`Pipe` and a=1), which
+    /// compile identical problems and so must share one stage-2 block.
+    fn three_windows() -> SearchSpace {
+        SearchSpace {
+            windows: vec![None, Some(1), Some(3)],
+            ..tiny()
+        }
+    }
+
     #[test]
     fn outcome_is_identical_across_jobs() {
-        let space = tiny();
+        let space = three_windows();
         let runs: Vec<SearchOutcome> = [1usize, 2, 4]
             .iter()
             .map(|&jobs| {
@@ -511,12 +547,32 @@ mod tests {
         for run in &runs[1..] {
             assert_eq!(run.frontier, runs[0].frontier);
             assert_eq!(run.survivors, runs[0].survivors);
+            assert_eq!(run.stats, runs[0].stats);
             for (a, b) in run.points.iter().zip(&runs[0].points) {
                 assert_eq!(a.objectives, b.objectives);
                 assert_eq!(a.ilp, b.ilp);
                 assert_eq!(a.replay, b.replay);
             }
         }
+    }
+
+    #[test]
+    fn traced_search_exports_the_same_trace_across_jobs() {
+        let export = |jobs: usize| {
+            let tracer = smart_trace::Tracer::enabled();
+            let timing = TimingCache::new();
+            timing.solver().set_tracer(tracer.clone());
+            search(
+                &three_windows(),
+                &SearchConfig::new(jobs),
+                &EvalCache::new(),
+                &timing,
+            )
+            .expect("searches");
+            assert!(tracer.event_count() > 0, "solves record spans");
+            smart_trace::chrome::export(&tracer).expect("a well-nested trace")
+        };
+        assert_eq!(export(1), export(2));
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //!   [`parallel_map`](smart_report::pool::parallel_map) fan-out, then
 //!   **prunes**: points ε-dominated on those cheap analytic objectives
 //!   never reach the expensive stage. Only the surviving near-frontier
-//!   band is compiled by the ILP (warm-started, in traversal order), and
-//!   only the frontier itself is confirmed by the `smart-timing`
-//!   cycle-level replay.
+//!   band is compiled by the ILP (warm-started, in traversal order within
+//!   each prefetch window, the windows in parallel), and only the frontier
+//!   itself is confirmed by the `smart-timing` cycle-level replay.
 //! * [`search_naive`] is the baseline the speedup is measured against:
 //!   per-config cold solves for every point of the space, no caches, no
 //!   pruning. It must — and the tests assert it does — produce the exact
 //!   same frontier.
 //!
 //! Everything is deterministic: objectives are pure values, pruning is a
-//! pure function of them, and the ILP/replay stages run in canonical
-//! enumeration order, so the frontier is identical across `--jobs` values
+//! pure function of them, each ILP warm-start chain runs in canonical
+//! enumeration order on its own solver fork, and the replay stage runs in
+//! canonical order, so the frontier is identical across `--jobs` values
 //! and cold-vs-warm cache runs.
 
 #![warn(missing_docs)]
