@@ -6,15 +6,17 @@
 //! snapshot), this binary exposes every simulator knob, so it is the
 //! interactive front end for exploring the serving design space.
 
-use smart_bench::cli::{self, parse_non_negative, parse_positive, CliSpec, ExtraFlag};
+use smart_bench::cli::{self, parse_count, parse_non_negative, parse_positive, CliSpec, ExtraFlag};
 use smart_core::scheme::Scheme;
 use smart_report::{ColumnSpec, ResultTable, Unit, Value};
 use smart_serving::{
-    simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile, Workload,
+    simulate_arrivals, simulate_traced, ArrivalModel, ServingConfig, Tenant, TenantProfile,
+    Workload,
 };
 use smart_systolic::models::ModelId;
 use smart_timing::TimingConfig;
 use std::process::ExitCode;
+use std::sync::mpsc;
 
 const SPEC: CliSpec = CliSpec {
     bin: "serving_sim",
@@ -73,11 +75,15 @@ const SPEC: CliSpec = CliSpec {
         ExtraFlag {
             flag: "--slo-factor",
             value: Some("N"),
-            help: "SLO deadline as a multiple of each tenant's stand-alone latency (default: 8)",
+            help: "SLO deadline as a multiple of each tenant's stand-alone latency, 0 = no SLO (default: 8)",
         },
     ],
     positional: None,
 };
+
+/// Generated arrival chunks the producer thread may run ahead of the
+/// simulation.
+const CHUNKS_IN_FLIGHT: usize = 4;
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -172,18 +178,15 @@ fn main() -> ExitCode {
         "--window-us",
         Some(args.value_of("--window-us").unwrap_or("0")),
     ));
-    let quantum = unwrap(parse_non_negative(
-        "--quantum",
-        Some(args.value_of("--quantum").unwrap_or("0")),
-    )) as u32;
-    let seed = unwrap(parse_non_negative(
-        "--seed",
-        Some(args.value_of("--seed").unwrap_or("42")),
-    )) as u64;
-    let slo_factor = unwrap(parse_non_negative(
+    let quantum: u32 = parse_count("--quantum", Some(args.value_of("--quantum").unwrap_or("0")))
+        .unwrap_or_else(|e| fail(&e));
+    let seed: u64 = parse_count("--seed", Some(args.value_of("--seed").unwrap_or("42")))
+        .unwrap_or_else(|e| fail(&e));
+    let slo_factor: u64 = parse_count(
         "--slo-factor",
         Some(args.value_of("--slo-factor").unwrap_or("8")),
-    )) as u64;
+    )
+    .unwrap_or_else(|e| fail(&e));
     if args.value_of("--rate").is_some() {
         // Validate eagerly so a bad value fails before the ILP prepass.
         let _ = unwrap(parse_non_negative("--rate", args.value_of("--rate")));
@@ -251,14 +254,32 @@ fn main() -> ExitCode {
         );
     }
 
-    let report = simulate_traced(
-        &profs,
-        &workload,
-        requests,
-        &config,
-        &ctx.tracer,
-        "serving/",
-    );
+    let report = if ctx.jobs >= 2 {
+        // A second core generates the arrivals while this one simulates.
+        // The channel delivers the chunks in order, so the report and
+        // trace are those of the single-threaded run.
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel(CHUNKS_IN_FLIGHT);
+            let chunks = workload.arrivals(clock).chunks(requests);
+            s.spawn(move || {
+                for chunk in chunks {
+                    if tx.send(chunk).is_err() {
+                        break;
+                    }
+                }
+            });
+            simulate_arrivals(&profs, &workload, rx, &config, &ctx.tracer, "serving/")
+        })
+    } else {
+        simulate_traced(
+            &profs,
+            &workload,
+            requests,
+            &config,
+            &ctx.tracer,
+            "serving/",
+        )
+    };
 
     let mut t = ResultTable::new(
         "serving_sim",

@@ -137,6 +137,19 @@ pub fn parse_positive(flag: &str, value: Option<&str>) -> Result<usize, String> 
         .ok_or_else(|| format!("{flag} needs a positive integer"))
 }
 
+/// Validates the value of a non-negative-integer flag (`--seed`,
+/// `--quantum`): an unsigned decimal that fits `T`. Fractions, exponents,
+/// signs below zero and overflow are errors, never rounded or clamped.
+///
+/// # Errors
+///
+/// `"{flag} needs a non-negative integer"`.
+pub fn parse_count<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse::<T>().ok())
+        .ok_or_else(|| format!("{flag} needs a non-negative integer"))
+}
+
 /// Validates the value of a non-negative-number flag
 /// (`--max-regression`).
 ///
@@ -616,6 +629,14 @@ mod tests {
             parse_non_negative("--max-regression", Some("-0.1")).unwrap_err(),
             "--max-regression needs a non-negative number"
         );
+        assert_eq!(parse_count::<u64>("--seed", Some("0")), Ok(0));
+        for bad in ["2.7", "1e30", "-1", "18446744073709551616"] {
+            assert_eq!(
+                parse_count::<u64>("--seed", Some(bad)).unwrap_err(),
+                "--seed needs a non-negative integer",
+                "{bad}"
+            );
+        }
         assert_eq!(
             require_value("--baseline", "file path", None).unwrap_err(),
             "--baseline needs a file path"

@@ -162,3 +162,63 @@ mod bench_check {
         assert!(err.contains("--baseline"), "{err}");
     }
 }
+
+// `serving_sim`'s own knobs: the integer ones must reject what they
+// cannot represent instead of truncating it, and the producer thread
+// behind `--jobs 2` must not change a byte of the report.
+mod serving_sim_knobs {
+    const EXE: &str = env!("CARGO_BIN_EXE_serving_sim");
+
+    #[test]
+    fn integer_flags_reject_fractions_exponents_and_negatives() {
+        for (flag, value) in [
+            ("--quantum", "2.7"),
+            ("--quantum", "-1"),
+            ("--quantum", "4294967296"),
+            ("--seed", "1e30"),
+            ("--seed", "-3"),
+            ("--seed", "18446744073709551616"),
+            ("--slo-factor", "0.5"),
+            ("--slo-factor", "nan"),
+        ] {
+            let out = super::run(EXE, &[flag, value, "--requests", "10"]);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with(&format!("{flag} needs a non-negative integer")),
+                "{flag} {value}: {err}"
+            );
+            assert!(
+                err.contains("usage"),
+                "{flag} {value} prints no usage: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{flag} {value} ran anyway");
+        }
+    }
+
+    #[test]
+    fn producer_thread_keeps_the_report_byte_identical() {
+        let report = |jobs: &str| {
+            let out = super::run(
+                EXE,
+                &[
+                    "--jobs",
+                    jobs,
+                    "--requests",
+                    "50000",
+                    "--quantum",
+                    "2",
+                    "--batch",
+                    "4",
+                    "--window-us",
+                    "20",
+                ],
+            );
+            assert!(out.status.success(), "--jobs {jobs}: {out:?}");
+            out.stdout
+        };
+        let one = report("1");
+        assert!(String::from_utf8_lossy(&one).contains("injected"));
+        assert_eq!(one, report("2"), "--jobs 2 changed the report");
+    }
+}

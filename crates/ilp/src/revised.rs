@@ -572,16 +572,16 @@ impl<'a> Lp<'a> {
                     aug.swap(col * w + c, best * w + c);
                 }
             }
+            // Scale and eliminate over the pivot row's nonzeros only
+            // (see `pivot_update`).
             let piv = aug[col * w + col];
-            for c in 0..w {
-                aug[col * w + c] /= piv;
-            }
+            let pivot_row = scale_pivot_row(&mut aug[col * w..(col + 1) * w], piv);
             for r in 0..m {
                 if r != col {
                     let f = aug[r * w + col];
                     if f.abs() > 1e-14 {
-                        for c in 0..w {
-                            aug[r * w + c] -= f * aug[col * w + c];
+                        for &(c, v) in &pivot_row {
+                            aug[r * w + c] -= f * v;
                         }
                     }
                 }
@@ -601,14 +601,16 @@ impl<'a> Lp<'a> {
     /// (direction `w = B^-1 A_q`) into row `r`.
     fn pivot_update(&mut self, r: usize, w: &[f64]) {
         let m = self.form.m;
-        let piv = w[r];
-        for c in 0..m {
-            self.binv[r * m + c] /= piv;
-        }
+        // Pivot rows of B^-1 are mostly zeros. Skipping them changes no
+        // bit that is ever read: dividing a zero or subtracting a finite
+        // `f * 0.0` can only flip the sign of an exact zero, and every
+        // read of `binv` accumulates from `+0.0`, where a signed zero
+        // adds nothing.
+        let pivot_row = scale_pivot_row(&mut self.binv[r * m..(r + 1) * m], w[r]);
         for (i, &f) in w.iter().enumerate() {
             if i != r && f.abs() > 1e-14 {
-                for c in 0..m {
-                    self.binv[i * m + c] -= f * self.binv[r * m + c];
+                for &(c, v) in &pivot_row {
+                    self.binv[i * m + c] -= f * v;
                 }
             }
         }
@@ -1235,6 +1237,19 @@ impl<'a> Lp<'a> {
             basis,
         }
     }
+}
+
+/// Divides the nonzero entries of a pivot row by `piv` and returns them
+/// as `(column, value)` pairs; zero entries are left as they are.
+fn scale_pivot_row(row: &mut [f64], piv: f64) -> Vec<(usize, f64)> {
+    let mut nonzeros = Vec::new();
+    for (c, x) in row.iter_mut().enumerate() {
+        if *x != 0.0 {
+            *x /= piv;
+            nonzeros.push((c, *x));
+        }
+    }
+    nonzeros
 }
 
 #[cfg(test)]

@@ -56,5 +56,5 @@ pub mod workload;
 
 pub use profile::TenantProfile;
 pub use report::{ServingReport, TenantServingStats};
-pub use sim::{simulate, simulate_traced, ServingConfig};
-pub use workload::{ArrivalModel, Request, Tenant, Workload};
+pub use sim::{simulate, simulate_arrivals, simulate_traced, ServingConfig};
+pub use workload::{ArrivalModel, Arrivals, Request, Tenant, Workload};

@@ -155,9 +155,96 @@ impl TenantProfile {
     }
 }
 
+/// A profile's layer costs as running sums, so the dispatch simulator
+/// prices a quantum of consecutive layers at any batch size, and a cold
+/// switch at any layer, in O(1).
+#[derive(Debug, Clone)]
+pub(crate) struct PrefixCosts {
+    /// `total[l]`: Σ `layer_cycles[..l]`.
+    total: Vec<u64>,
+    /// `compute[l]`: Σ `layer_compute[..l]`.
+    compute: Vec<u64>,
+    /// `restage_tail[l]`: Σ `restage_cycles[l..]`, the cost of switching
+    /// to a job whose next layer is `l`.
+    restage_tail: Vec<u64>,
+}
+
+impl PrefixCosts {
+    pub(crate) fn new(p: &TenantProfile) -> Self {
+        let prefix = |xs: &[u64]| {
+            let mut sums = Vec::with_capacity(xs.len() + 1);
+            let mut acc = 0u64;
+            sums.push(acc);
+            for &x in xs {
+                acc += x;
+                sums.push(acc);
+            }
+            sums
+        };
+        let mut restage_tail = vec![0u64; p.layers() + 1];
+        for l in (0..p.layers()).rev() {
+            restage_tail[l] = restage_tail[l + 1] + p.restage_cycles[l];
+        }
+        Self {
+            total: prefix(&p.layer_cycles),
+            compute: prefix(&p.layer_compute),
+            restage_tail,
+        }
+    }
+
+    /// Cycles to run layers `a..e` for a batch of `b >= 1` requests:
+    /// Σ [`TenantProfile::batched_layer_cycles`]`(l, b)` over the range,
+    /// as `(T[e] - T[a]) + (b - 1)(C[e] - C[a])`, exact in integers.
+    pub(crate) fn run_cycles(&self, a: usize, e: usize, b: u32) -> u64 {
+        (self.total[e] - self.total[a]) + u64::from(b - 1) * (self.compute[e] - self.compute[a])
+    }
+
+    /// Cycles to re-stage the resident bytes of layers `from..`.
+    pub(crate) fn restage(&self, from: usize) -> u64 {
+        self.restage_tail[from]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn synthetic(layer_cycles: Vec<u64>, layer_compute: Vec<u64>) -> TenantProfile {
+        TenantProfile {
+            name: "synthetic".to_owned(),
+            model: ModelId::AlexNet,
+            scheme: "TEST",
+            clock: Frequency::from_ghz(1.0),
+            restage_cycles: layer_compute.iter().map(|c| c / 3).collect(),
+            layer_cycles,
+            layer_compute,
+            resident_fraction: 0.5,
+        }
+    }
+
+    proptest! {
+        /// The O(1) quantum cost is the per-layer sum it replaces, on
+        /// every layer range and batch size.
+        #[test]
+        fn prefix_quantum_cost_is_the_layer_sum(
+            compute in prop::collection::vec(0u64..1_000_000, 1..40),
+            stall in prop::collection::vec(0u64..1_000_000, 40..41),
+            b in 1u32..64,
+            cut in 0usize..1000,
+        ) {
+            let total: Vec<u64> = compute.iter().zip(&stall).map(|(c, s)| c + s).collect();
+            let p = synthetic(total, compute);
+            let costs = PrefixCosts::new(&p);
+            let n = p.layers();
+            let a = cut % (n + 1);
+            for e in a..=n {
+                let sum: u64 = (a..e).map(|l| p.batched_layer_cycles(l, b)).sum();
+                prop_assert_eq!(costs.run_cycles(a, e, b), sum);
+            }
+            prop_assert_eq!(costs.restage(a), p.restage_cycles[a..].iter().sum::<u64>());
+        }
+    }
 
     #[test]
     fn profile_matches_replay_totals() {

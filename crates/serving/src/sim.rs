@@ -28,19 +28,32 @@
 //!   cycles already include first-use staging — so a zero-load request
 //!   finishes in exactly its stand-alone replay latency.
 //!
-//! Determinism: the loop consumes the trace in order, draws no
+//! Streaming: the loop never holds the arrival trace. It pulls the
+//! workload's requests in 4096-request pieces of
+//! [`Workload::arrivals`] ([`simulate_traced`]) or from any chunked feed
+//! of the same stream ([`simulate_arrivals`], which `serving_sim` fills
+//! from a producer thread). Per event the loop does O(1) work per
+//! tenant: a quantum of consecutive layers is priced from prefix sums
+//! of the profile's layer cycles, batch arrival vectors are reused, and
+//! lane calls are skipped outright when tracing is off. The report's
+//! aggregate latency sample is a merge of the sorted per-tenant
+//! samples.
+//!
+//! Determinism: the loop consumes the requests in order, draws no
 //! randomness of its own, and never looks at wall-clock time, so one
 //! `(workload, config)` pair yields one byte-identical [`ServingReport`]
-//! regardless of machine or worker count.
+//! regardless of machine, worker count, or how the requests were
+//! chunked and where they were generated.
 
 // lint:allow-file(index, queue and tenant indices are bounded by the profile vectors built at admission)
 
 use std::collections::VecDeque;
 
-use crate::profile::TenantProfile;
+use crate::profile::{PrefixCosts, TenantProfile};
 use crate::report::{ServingReport, TenantServingStats};
-use crate::workload::Workload;
+use crate::workload::{Request, Workload};
 use smart_trace::{Lane, Tracer};
+use smart_units::Frequency;
 
 /// Dispatch-policy knobs of one serving run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +159,9 @@ pub fn simulate(
 /// are simulated accelerator cycles, so the trace is as deterministic
 /// as the report; a disabled tracer makes this exactly [`simulate`].
 ///
+/// The arrivals stream through the loop in 4096-request pieces of
+/// [`Workload::arrivals`]; the whole trace is never held.
+///
 /// # Panics
 ///
 /// As [`simulate`].
@@ -158,46 +174,52 @@ pub fn simulate_traced(
     tracer: &Tracer,
     lane_prefix: &str,
 ) -> ServingReport {
-    assert_eq!(
-        profiles.len(),
-        workload.tenants.len(),
-        "one profile per tenant"
-    );
-    assert!(!profiles.is_empty(), "serving needs at least one tenant");
-    assert!(cfg.max_batch >= 1, "a batch holds at least one request");
-    assert!(
-        cfg.slo_cycles.is_empty() || cfg.slo_cycles.len() == profiles.len(),
-        "slo_cycles must be empty or one deadline per tenant"
-    );
-    for (p, t) in profiles.iter().zip(&workload.tenants) {
-        assert_eq!(p.model, t.model, "profile/tenant model mismatch");
-        assert_eq!(p.scheme, profiles[0].scheme, "profiles must share a scheme");
-        assert_eq!(p.clock, profiles[0].clock, "profiles must share a clock");
-    }
-    let clock = profiles[0].clock;
-    let trace = workload.trace(n, clock);
+    let clock = check_inputs(profiles, workload, cfg);
+    let chunks = workload.arrivals(clock).chunks(n);
+    simulate_arrivals(profiles, workload, chunks, cfg, tracer, lane_prefix)
+}
 
-    // One trace lane per tenant. Lanes are no-ops on a disabled tracer;
-    // the exporter re-sorts each lane by timestamp, so emitting `arrive`
-    // instants at admission time (after later events) is fine.
+/// [`simulate_traced`] over a request stream the caller feeds in
+/// chunks: the first requests of `workload.arrivals(clock)`, in order,
+/// however they were produced (for example generated on another thread
+/// and received through a channel). The report depends only on the
+/// requests, not on how they are cut into chunks or where they were
+/// made, so every feed of the same stream gives the same report and
+/// trace.
+///
+/// # Panics
+///
+/// As [`simulate`].
+#[must_use]
+pub fn simulate_arrivals(
+    profiles: &[TenantProfile],
+    workload: &Workload,
+    chunks: impl IntoIterator<Item = Vec<Request>>,
+    cfg: &ServingConfig,
+    tracer: &Tracer,
+    lane_prefix: &str,
+) -> ServingReport {
+    let clock = check_inputs(profiles, workload, cfg);
+    let mut requests = Feed {
+        chunks: chunks.into_iter(),
+        chunk: Vec::new(),
+        pos: 0,
+    };
+    let first_arrival = requests.peek().map_or(0, |r| r.arrival);
+
+    // One trace lane per tenant. Lane calls are no-ops on a disabled
+    // tracer, but still out-of-line calls, so the loop checks `traced`
+    // first. The exporter re-sorts each lane by timestamp, so emitting
+    // `arrive` instants at admission time (after later events) is fine.
+    let traced = tracer.is_enabled();
     let lanes: Vec<Lane> = profiles
         .iter()
         .enumerate()
         .map(|(t, p)| tracer.lane(&format!("{lane_prefix}tenant {t} {}", p.name)))
         .collect();
-
-    // Suffix sums of the per-layer re-staging cost: switching to a job at
-    // layer l re-stages the resident bytes of layers l.. .
-    let restage_tail: Vec<Vec<u64>> = profiles
-        .iter()
-        .map(|p| {
-            let mut tail = vec![0u64; p.layers() + 1];
-            for l in (0..p.layers()).rev() {
-                tail[l] = tail[l + 1] + p.restage_cycles[l];
-            }
-            tail
-        })
-        .collect();
+    let costs: Vec<PrefixCosts> = profiles.iter().map(PrefixCosts::new).collect();
+    let max_batch = cfg.max_batch as usize;
+    let quantum = cfg.quantum_layers as usize;
 
     // Round-robin bookkeeping (only consulted when a quantum is set):
     // the dispatch sequence number at which each tenant last ran.
@@ -208,7 +230,8 @@ pub fn simulate_traced(
     let mut injected = vec![0u64; profiles.len()];
     let mut samples: Vec<Vec<u64>> = vec![Vec::new(); profiles.len()];
     let mut parked: Vec<Job> = Vec::new();
-    let mut next_req = 0usize;
+    // Arrival vectors of completed jobs, reused by the next dispatches.
+    let mut pool: Vec<Vec<u64>> = Vec::new();
     let mut now = 0u64;
     let mut resident: Option<usize> = None;
     let mut service_cycles = 0u64;
@@ -219,12 +242,13 @@ pub fn simulate_traced(
     // Admits every request that has arrived by `now`.
     macro_rules! admit {
         () => {
-            while next_req < trace.len() && trace[next_req].arrival <= now {
-                let r = trace[next_req];
-                queues[usize::from(r.tenant)].push_back(r.arrival);
-                injected[usize::from(r.tenant)] += 1;
-                lanes[usize::from(r.tenant)].instant("arrive", r.arrival);
-                next_req += 1;
+            while let Some(r) = requests.next_by(now) {
+                let t = usize::from(r.tenant);
+                queues[t].push_back(r.arrival);
+                injected[t] += 1;
+                if traced {
+                    lanes[t].instant("arrive", r.arrival);
+                }
             }
         };
     }
@@ -239,7 +263,7 @@ pub fn simulate_traced(
         // breaking ties — so a preempted long job cannot immediately
         // reclaim the array from the tenants it was parked for.
         let rank = |t: usize, arrival: u64| {
-            if cfg.quantum_layers == 0 {
+            if quantum == 0 {
                 (0, arrival, t)
             } else {
                 (last_served[t], arrival, t)
@@ -256,31 +280,33 @@ pub fn simulate_traced(
             .filter_map(|(t, q)| q.front().map(|&a| (rank(t, a), (a, t))))
             .min();
 
-        let job = match (best_parked, best_head) {
+        let mut job = match (best_parked, best_head) {
             (None, None) => {
                 // Idle: jump to the next arrival or finish.
-                if next_req == trace.len() {
+                let Some(next) = requests.peek() else {
                     break;
-                }
-                now = now.max(trace[next_req].arrival);
+                };
+                now = now.max(next.arrival);
                 continue;
             }
             (Some((pr, pi)), head) if head.is_none_or(|(hr, _)| pr <= hr) => parked.swap_remove(pi),
             (Some((_, pi)), None) => parked.swap_remove(pi),
             (_, Some((_, (head_arrival, t)))) => {
                 // Batch maturity: full, or the head has waited out the
-                // window (with the trace exhausted nothing more can
+                // window (with the stream exhausted nothing more can
                 // join, so launch what is queued).
                 let deadline = head_arrival.saturating_add(cfg.batch_window);
-                let full = queues[t].len() >= cfg.max_batch as usize;
-                if !full && now < deadline && next_req < trace.len() {
-                    // Wait for more co-batchable arrivals or the window.
-                    now = deadline.min(trace[next_req].arrival);
-                    continue;
+                if queues[t].len() < max_batch && now < deadline {
+                    if let Some(next) = requests.peek() {
+                        // Wait for more co-batchable arrivals or the window.
+                        now = deadline.min(next.arrival);
+                        continue;
+                    }
                 }
-                let b = queues[t].len().min(cfg.max_batch as usize);
-                let arrivals: Vec<u64> = queues[t].drain(..b).collect();
-                if lanes[t].is_enabled() {
+                let b = queues[t].len().min(max_batch);
+                let mut arrivals = pool.pop().unwrap_or_default();
+                arrivals.extend(queues[t].drain(..b));
+                if traced {
                     lanes[t].instant(&format!("dispatch batch={b}"), now);
                 }
                 Job {
@@ -295,9 +321,12 @@ pub fn simulate_traced(
         // still to run re-stage their resident bytes first. An empty
         // array (None) is warm by the replay convention.
         let t = job.tenant;
+        let cost_t = &costs[t];
         if resident.is_some_and(|r| r != t) {
-            let cost = restage_tail[t][job.next_layer];
-            lanes[t].span("restage", now, now + cost);
+            let cost = cost_t.restage(job.next_layer);
+            if traced {
+                lanes[t].span("restage", now, now + cost);
+            }
             now += cost;
             switch_cycles += cost;
             switches += 1;
@@ -306,40 +335,40 @@ pub fn simulate_traced(
 
         // Run the job quantum by quantum, parking it when an older
         // request of another tenant is waiting at a layer boundary.
-        let mut job = job;
-        let profile = &profiles[t];
+        let layers = profiles[t].layers();
         // lint:allow(panic_freedom, arrivals per batch are bounded by the admission quantum, far below u32::MAX)
         let batch = u32::try_from(job.arrivals.len()).expect("batch fits u32");
         loop {
-            let remaining = profile.layers() - job.next_layer;
-            let run = if cfg.quantum_layers == 0 {
+            let first = job.next_layer;
+            let remaining = layers - first;
+            let run = if quantum == 0 {
                 remaining
             } else {
-                remaining.min(cfg.quantum_layers as usize)
+                remaining.min(quantum)
             };
             let segment_start = now;
-            for l in job.next_layer..job.next_layer + run {
-                let c = profile.batched_layer_cycles(l, batch);
-                now += c;
-                service_cycles += c;
-            }
+            let c = cost_t.run_cycles(first, first + run, batch);
+            now += c;
+            service_cycles += c;
             job.next_layer += run;
             seq += 1;
             last_served[t] = seq;
-            if lanes[t].is_enabled() && run > 0 {
+            if traced && run > 0 {
                 lanes[t].span(
-                    &format!("run L{}..L{}", job.next_layer - run, job.next_layer),
+                    &format!("run L{first}..L{}", job.next_layer),
                     segment_start,
                     now,
                 );
             }
 
-            if job.next_layer == profile.layers() {
-                for &arrival in &job.arrivals {
-                    samples[t].push(now - arrival);
+            if job.next_layer == layers {
+                samples[t].extend(job.arrivals.iter().map(|&arrival| now - arrival));
+                if traced {
+                    lanes[t].instant("complete", now);
                 }
-                lanes[t].instant("complete", now);
                 last_completion = last_completion.max(now);
+                job.arrivals.clear();
+                pool.push(job.arrivals);
                 break;
             }
 
@@ -353,25 +382,26 @@ pub fn simulate_traced(
                     .enumerate()
                     .any(|(qt, q)| qt != t && !q.is_empty());
             if other_waiting {
-                lanes[t].instant("preempt", now);
+                if traced {
+                    lanes[t].instant("preempt", now);
+                }
                 parked.push(job);
                 break;
             }
         }
     }
 
-    // Assemble the report.
+    // Assemble the report. Each tenant's sample is sorted once; the
+    // aggregate sample is their merge.
     let mut per_tenant = Vec::with_capacity(profiles.len());
-    let mut all = Vec::new();
     let mut completed = 0u64;
     let mut slo_met = 0u64;
     for (t, mut lat) in samples.into_iter().enumerate() {
         lat.sort_unstable();
         let slo = cfg.slo_cycles.get(t).copied().unwrap_or(u64::MAX);
-        let met = lat.iter().filter(|&&l| l <= slo).count() as u64;
+        let met = lat.partition_point(|&l| l <= slo) as u64;
         completed += lat.len() as u64;
         slo_met += met;
-        all.extend_from_slice(&lat);
         per_tenant.push(TenantServingStats {
             name: profiles[t].name.clone(),
             injected: injected[t],
@@ -380,22 +410,95 @@ pub fn simulate_traced(
             latencies: lat,
         });
     }
-    all.sort_unstable();
+    let runs: Vec<&[u64]> = per_tenant.iter().map(|s| s.latencies.as_slice()).collect();
+    let latencies = merge_sorted(&runs);
 
-    let first_arrival = trace.first().map_or(0, |r| r.arrival);
     ServingReport {
         scheme: profiles[0].scheme,
         clock,
         offered_rps: workload.rate_rps,
-        injected: trace.len() as u64,
+        injected: injected.iter().sum(),
         completed,
         slo_met,
         makespan_cycles: last_completion.saturating_sub(first_arrival),
         service_cycles,
         switch_cycles,
         switches,
-        latencies: all,
+        latencies,
         per_tenant,
+    }
+}
+
+/// The simulator's cursor over a chunked request stream.
+struct Feed<I> {
+    chunks: I,
+    chunk: Vec<Request>,
+    /// Next request in `chunk`.
+    pos: usize,
+}
+
+impl<I: Iterator<Item = Vec<Request>>> Feed<I> {
+    /// The next request, or `None` once the stream is exhausted.
+    fn peek(&mut self) -> Option<&Request> {
+        while self.pos == self.chunk.len() {
+            self.chunk = self.chunks.next()?;
+            self.pos = 0;
+        }
+        self.chunk.get(self.pos)
+    }
+
+    /// Takes the next request if it has arrived by `now`.
+    fn next_by(&mut self, now: u64) -> Option<Request> {
+        let r = *self.peek()?;
+        (r.arrival <= now).then(|| {
+            self.pos += 1;
+            r
+        })
+    }
+}
+
+/// Checks that `profiles` can serve `workload` under `cfg` and returns
+/// their shared clock.
+fn check_inputs(profiles: &[TenantProfile], workload: &Workload, cfg: &ServingConfig) -> Frequency {
+    assert_eq!(
+        profiles.len(),
+        workload.tenants.len(),
+        "one profile per tenant"
+    );
+    assert!(!profiles.is_empty(), "serving needs at least one tenant");
+    assert!(cfg.max_batch >= 1, "a batch holds at least one request");
+    assert!(
+        cfg.slo_cycles.is_empty() || cfg.slo_cycles.len() == profiles.len(),
+        "slo_cycles must be empty or one deadline per tenant"
+    );
+    for (p, t) in profiles.iter().zip(&workload.tenants) {
+        assert_eq!(p.model, t.model, "profile/tenant model mismatch");
+        assert_eq!(p.scheme, profiles[0].scheme, "profiles must share a scheme");
+        assert_eq!(p.clock, profiles[0].clock, "profiles must share a clock");
+    }
+    profiles[0].clock
+}
+
+/// The sorted union of sorted `runs`: a k-way merge that scans the run
+/// heads for the smallest (`k` is the tenant count, so a scan beats a
+/// heap).
+fn merge_sorted(runs: &[&[u64]]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    let mut next = vec![0usize; runs.len()];
+    loop {
+        let mut best: Option<(u64, usize)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(&v) = run.get(next[i]) {
+                if best.is_none_or(|(b, _)| v < b) {
+                    best = Some((v, i));
+                }
+            }
+        }
+        let Some((v, i)) = best else {
+            return out;
+        };
+        out.push(v);
+        next[i] += 1;
     }
 }
 
@@ -569,6 +672,44 @@ mod tests {
         let _ = simulate_traced(&profiles, &w, 100, &cfg, &retracer, "serving/");
         let b = smart_trace::chrome::export(&retracer).expect("valid trace");
         assert_eq!(a, b, "same seed, byte-identical trace");
+    }
+
+    #[test]
+    fn any_chunking_of_the_stream_gives_the_same_report_and_trace() {
+        let profiles = [prof(1_000, 600, 50, 10), prof(2_000, 1_200, 80, 10)];
+        // Loaded enough that several requests arrive during a quantum.
+        let w = two_tenant_workload(1e5, 5);
+        let cfg = ServingConfig::fcfs()
+            .with_batching(4, 20_000)
+            .with_quantum(3);
+        let tracer = Tracer::enabled();
+        let whole = simulate_traced(&profiles, &w, 500, &cfg, &tracer, "");
+        let whole_trace = smart_trace::chrome::export(&tracer).expect("valid trace");
+        let trace = w.trace(500, profiles[0].clock);
+        for size in [1, 7] {
+            // Small pieces, with empty chunks in between and at the end.
+            let chunks: Vec<Vec<Request>> = trace
+                .chunks(size)
+                .flat_map(|c| [c.to_vec(), Vec::new()])
+                .collect();
+            let retracer = Tracer::enabled();
+            let pieces = simulate_arrivals(&profiles, &w, chunks, &cfg, &retracer, "");
+            assert_eq!(whole, pieces, "chunks of {size}");
+            assert_eq!(
+                whole_trace,
+                smart_trace::chrome::export(&retracer).expect("valid trace"),
+                "chunks of {size}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_sorted_is_the_sorted_union() {
+        let runs: [&[u64]; 4] = [&[1, 4, 4, 9], &[], &[2, 3, 4, 10, 11], &[0, 4]];
+        let mut expect: Vec<u64> = runs.concat();
+        expect.sort_unstable();
+        assert_eq!(merge_sorted(&runs), expect);
+        assert!(merge_sorted(&[]).is_empty());
     }
 
     #[test]

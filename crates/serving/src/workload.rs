@@ -3,10 +3,17 @@
 //! A serving scenario is a [`Workload`]: a set of [`Tenant`]s (each a CNN
 //! model with a share of the offered load), an [`ArrivalModel`] (Poisson
 //! or bursty on/off), an aggregate request rate, and a seed. From those,
-//! [`Workload::trace`] synthesizes a deterministic open-loop trace of
+//! [`Workload::arrivals`] opens a deterministic open-loop stream of
 //! `(arrival_cycle, tenant)` pairs through the hand-rolled
 //! [`smart_units::rng`] generators — the same seed replays byte-identical
 //! on every machine and worker count.
+//!
+//! [`Arrivals`] is the only generator. [`Arrivals::fill`] appends the
+//! next `k` requests and keeps its position, so the stream can be
+//! consumed in pieces: [`Workload::trace`] is one fill of `n`, and the
+//! simulator pulls 4096-request pieces through [`Arrivals::chunks`]
+//! instead of holding the whole trace. Every split of the stream yields
+//! the same requests.
 //!
 //! Arrivals are *open-loop*: request `k`'s arrival never depends on when
 //! request `k - 1` completed, which is what saturates a server and
@@ -101,10 +108,9 @@ impl Workload {
         }
     }
 
-    /// Generates the first `n` requests of this workload's arrival
-    /// process at `clock` (the accelerator clock that converts seconds to
-    /// cycles). Deterministic in `(self, n, clock)`; arrivals are
-    /// non-decreasing.
+    /// The arrival process of this workload at `clock` (the accelerator
+    /// clock that converts seconds to cycles), ready to generate from
+    /// the first request on.
     ///
     /// # Panics
     ///
@@ -112,7 +118,7 @@ impl Workload {
     /// `u16::MAX` tenants, a non-positive rate, or a bursty model with
     /// `on_fraction` outside `(0, 1]` or a non-positive period.
     #[must_use]
-    pub fn trace(&self, n: usize, clock: Frequency) -> Vec<Request> {
+    pub fn arrivals(&self, clock: Frequency) -> Arrivals {
         assert!(
             !self.tenants.is_empty() && self.tenants.len() <= usize::from(u16::MAX),
             "workload needs 1..=65535 tenants"
@@ -121,33 +127,15 @@ impl Workload {
             self.rate_rps > 0.0 && self.rate_rps.is_finite(),
             "offered load must be a positive rate"
         );
-        let hz = clock.as_si();
         let weights: Vec<f64> = self.tenants.iter().map(|t| t.weight).collect();
         assert!(
             weights.iter().any(|w| *w > 0.0),
             "at least one tenant needs positive weight"
         );
-
-        // Two independent substreams: gaps and tenant picks. Keeping them
-        // separate means a different tenant count cannot shift the
-        // arrival times (and vice versa), which the rate-rescaling
-        // monotonicity argument relies on.
-        let mut gaps = Rng::stream(self.seed, 0);
-        let mut picks = Rng::stream(self.seed, 1);
-
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64; // seconds
-        match self.arrivals {
-            ArrivalModel::Poisson => {
-                let mean_gap = 1.0 / self.rate_rps;
-                for _ in 0..n {
-                    t += gaps.next_exp(mean_gap);
-                    out.push(Request {
-                        arrival: (t * hz) as u64,
-                        tenant: picks.pick_weighted(&weights) as u16,
-                    });
-                }
-            }
+        let process = match self.arrivals {
+            ArrivalModel::Poisson => Process::Poisson {
+                mean_gap: 1.0 / self.rate_rps,
+            },
             ArrivalModel::Bursty {
                 on_fraction,
                 period_s,
@@ -161,29 +149,154 @@ impl Workload {
                     "burst period must be positive"
                 );
                 let mut phases = Rng::stream(self.seed, 2);
-                let on_rate = self.rate_rps / on_fraction;
                 let mean_on = period_s * on_fraction;
-                let mean_off = period_s * (1.0 - on_fraction);
-                // Walk ON phases; exponential gaps are memoryless, so
-                // redrawing at each phase boundary is exact.
-                let mut phase_end = phases.next_exp(mean_on);
-                while out.len() < n {
-                    t += gaps.next_exp(1.0 / on_rate);
-                    while t > phase_end {
-                        // Jump over the OFF phase and restart the clock
-                        // of the truncated ON draw at the next ON start.
-                        let off = phases.next_exp(mean_off);
-                        t = phase_end + off + gaps.next_exp(1.0 / on_rate);
-                        phase_end += off + phases.next_exp(mean_on);
-                    }
+                let phase_end = phases.next_exp(mean_on);
+                Process::Bursty {
+                    mean_gap: 1.0 / (self.rate_rps / on_fraction),
+                    mean_on,
+                    mean_off: period_s * (1.0 - on_fraction),
+                    phases,
+                    phase_end,
+                }
+            }
+        };
+        // Two independent substreams: gaps and tenant picks. Keeping them
+        // separate means a different tenant count cannot shift the
+        // arrival times (and vice versa), which the rate-rescaling
+        // monotonicity argument relies on.
+        Arrivals {
+            gaps: Rng::stream(self.seed, 0),
+            picks: Rng::stream(self.seed, 1),
+            weights,
+            hz: clock.as_si(),
+            t: 0.0,
+            process,
+        }
+    }
+
+    /// Generates the first `n` requests of this workload's arrival
+    /// process at `clock`: one [`Arrivals::fill`] of `n`. Deterministic
+    /// in `(self, n, clock)`; arrivals are non-decreasing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Workload::arrivals`].
+    #[must_use]
+    pub fn trace(&self, n: usize, clock: Frequency) -> Vec<Request> {
+        let mut out = Vec::with_capacity(n);
+        self.arrivals(clock).fill(&mut out, n);
+        out
+    }
+}
+
+/// Requests per [`Arrivals::chunks`] item: 64 KiB of requests, small
+/// enough to stay in cache, large enough that a chunk hand-off costs
+/// nothing per request.
+pub(crate) const CHUNK: usize = 4096;
+
+/// A workload's arrival process, positioned after the requests it has
+/// generated so far: [`Arrivals::fill`] continues the stream exactly
+/// where the last call stopped, so any split of `n` requests into
+/// fills yields [`Workload::trace`]`(n)`.
+#[derive(Debug)]
+pub struct Arrivals {
+    gaps: Rng,
+    picks: Rng,
+    weights: Vec<f64>,
+    /// Cycles per second.
+    hz: f64,
+    /// Arrival time of the last generated request, in seconds.
+    t: f64,
+    process: Process,
+}
+
+/// The per-model state of an [`Arrivals`] stream.
+#[derive(Debug)]
+enum Process {
+    Poisson {
+        mean_gap: f64,
+    },
+    Bursty {
+        /// Mean gap inside an ON phase.
+        mean_gap: f64,
+        mean_on: f64,
+        mean_off: f64,
+        phases: Rng,
+        /// End of the current ON phase, in seconds.
+        phase_end: f64,
+    },
+}
+
+impl Arrivals {
+    /// Appends the next `k` requests of the stream to `out`.
+    pub fn fill(&mut self, out: &mut Vec<Request>, k: usize) {
+        out.reserve(k);
+        // The loops keep the generator state in locals, so pushing to
+        // `out` cannot force it back through memory every request.
+        let (hz, weights) = (self.hz, self.weights.as_slice());
+        let mut gaps = self.gaps.clone();
+        let mut picks = self.picks.clone();
+        let mut t = self.t;
+        match &mut self.process {
+            Process::Poisson { mean_gap } => {
+                let mean_gap = *mean_gap;
+                for _ in 0..k {
+                    t += gaps.next_exp(mean_gap);
                     out.push(Request {
                         arrival: (t * hz) as u64,
-                        tenant: picks.pick_weighted(&weights) as u16,
+                        tenant: picks.pick_weighted(weights) as u16,
                     });
                 }
             }
+            Process::Bursty {
+                mean_gap,
+                mean_on,
+                mean_off,
+                phases,
+                phase_end,
+            } => {
+                let (mean_gap, mean_on, mean_off) = (*mean_gap, *mean_on, *mean_off);
+                let mut ph = phases.clone();
+                let mut end = *phase_end;
+                // Walk ON phases; exponential gaps are memoryless, so
+                // redrawing at each phase boundary is exact.
+                for _ in 0..k {
+                    t += gaps.next_exp(mean_gap);
+                    while t > end {
+                        // Jump over the OFF phase and restart the clock
+                        // of the truncated ON draw at the next ON start.
+                        let off = ph.next_exp(mean_off);
+                        t = end + off + gaps.next_exp(mean_gap);
+                        end += off + ph.next_exp(mean_on);
+                    }
+                    out.push(Request {
+                        arrival: (t * hz) as u64,
+                        tenant: picks.pick_weighted(weights) as u16,
+                    });
+                }
+                *phases = ph;
+                *phase_end = end;
+            }
         }
-        out
+        self.gaps = gaps;
+        self.picks = picks;
+        self.t = t;
+    }
+
+    /// The next `n` requests as consecutive chunks of 4096 (the last one
+    /// shorter), for a consumer that streams them instead of holding
+    /// the whole trace.
+    pub fn chunks(mut self, n: usize) -> impl Iterator<Item = Vec<Request>> + Send {
+        let mut left = n;
+        std::iter::from_fn(move || {
+            (left > 0).then(|| {
+                let k = left.min(CHUNK);
+                left -= k;
+                let mut chunk = Vec::with_capacity(k);
+                self.fill(&mut chunk, k);
+                chunk
+            })
+        })
     }
 }
 
@@ -277,6 +390,57 @@ mod tests {
             scv(&b),
             scv(&p)
         );
+    }
+
+    fn bursty(seed: u64) -> Workload {
+        Workload {
+            arrivals: ArrivalModel::Bursty {
+                on_fraction: 0.25,
+                period_s: 2e-4,
+            },
+            ..Workload::poisson(mix(), 1e5, seed)
+        }
+    }
+
+    /// FNV-1a over each request's little-endian `(arrival, tenant)`.
+    fn trace_hash(trace: &[Request]) -> u64 {
+        let bytes: Vec<u8> = trace
+            .iter()
+            .flat_map(|r| {
+                r.arrival
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(r.tenant.to_le_bytes())
+            })
+            .collect();
+        smart_units::codec::fnv1a(&bytes)
+    }
+
+    #[test]
+    fn traces_are_pinned() {
+        let poisson = Workload::poisson(mix(), 1e5, 9).trace(50_000, clock());
+        let bursty = bursty(9).trace(50_000, clock());
+        assert_eq!(trace_hash(&poisson), 12_804_980_877_625_264_859, "poisson");
+        assert_eq!(trace_hash(&bursty), 7_294_848_418_633_309_054, "bursty");
+    }
+
+    #[test]
+    fn chunks_and_split_fills_continue_one_stream() {
+        for w in [Workload::poisson(mix(), 1e5, 9), bursty(9)] {
+            let mut one = Vec::new();
+            w.arrivals(clock()).fill(&mut one, CHUNK + 1);
+            for n in [CHUNK - 1, CHUNK, CHUNK + 1] {
+                assert_eq!(w.trace(n, clock()), one[..n], "trace({n})");
+                let chunks: Vec<Vec<Request>> = w.arrivals(clock()).chunks(n).collect();
+                assert!(chunks.iter().all(|c| c.len() <= CHUNK));
+                assert_eq!(chunks.concat(), one[..n], "chunks({n})");
+                let mut split = Vec::new();
+                let mut arrivals = w.arrivals(clock());
+                arrivals.fill(&mut split, 1);
+                arrivals.fill(&mut split, n - 1);
+                assert_eq!(split, one[..n], "fill(1) + fill({})", n - 1);
+            }
+        }
     }
 
     #[test]
