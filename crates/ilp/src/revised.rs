@@ -28,6 +28,33 @@
 //! * **`Cold`**: slack basis, artificial columns only on infeasible rows,
 //!   then phase two.
 //!
+//! # Following the sparsity of `B^-1`
+//!
+//! The inverse is stored dense, but on the compiler's LPs it is only a few
+//! percent nonzero. The workspace therefore keeps a nonzero pattern per
+//! row and per column of `B^-1`: bitsets of `ceil(m / 64)` words, each a
+//! superset of the line's nonzeros. A refactorization rebuilds them
+//! exactly; a product-form pivot ORs in exactly the positions it writes
+//! (the updated rows times the pivot row's nonzero columns). Every
+//! product with the inverse walks set bits in ascending order instead of
+//! whole rows or columns: `y = c_B^T B^-1` and `xb` along row patterns,
+//! `ftran` along column patterns, the dual ratio test's row
+//! `alpha = rho^T A` from `rho`'s nonzeros through a row-wise (CSR) copy
+//! of `A`, and the pivot-row scan of the update. The refactorization runs
+//! Gauss-Jordan over the row and column patterns of `[B | I]` in a
+//! workspace (`GaussJordan`) that each `Lp` allocates once and reuses.
+//!
+//! The results are the dense loops' results bit for bit. Each output
+//! element still sums its terms in the same order; only terms with a zero
+//! factor are skipped. Every accumulator starts at `+0.0`, and an IEEE sum
+//! of finite values is `-0.0` only when both addends are, so it never
+//! becomes `-0.0`. Adding `x * 0.0` (a signed zero, as `x` is finite)
+//! to such an accumulator changes no bit. The pivot choices, the ties
+//! among them, and hence every pivot count, node count and output byte
+//! are unchanged. The `sparse_kernels_match_dense_bit_for_bit` test
+//! mirrors the inverse with the dense kernels and checks every product
+//! after every pivot and refactorization.
+//!
 //! The dense tableau implementation survives in [`crate::dense`] as the
 //! reference oracle for the property suite.
 
@@ -81,6 +108,12 @@ pub(crate) struct StandardForm {
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     val: Vec<f64>,
+    /// The same structural entries row by row (CSR), columns ascending
+    /// within a row: the dual ratio test prices `rho^T A` from `rho`'s
+    /// nonzeros through it.
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    row_val: Vec<f64>,
     /// Row-scaled right-hand sides.
     pub rhs: Vec<f64>,
     /// Internal objective: max-sense, divided by the largest |coefficient|.
@@ -144,6 +177,27 @@ impl StandardForm {
             col_ptr.push(row_idx.len());
         }
 
+        // CSR copy: a counting sort by row; walking the columns in order
+        // keeps each row's columns ascending.
+        let mut row_ptr = vec![0; m + 1];
+        for &r in &row_idx {
+            row_ptr[r + 1] += 1;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut next = row_ptr.clone();
+        let mut col_idx = vec![0; row_idx.len()];
+        let mut row_val = vec![0.0; row_idx.len()];
+        for j in 0..n {
+            for k in col_ptr[j]..col_ptr[j + 1] {
+                let slot = &mut next[row_idx[k]];
+                col_idx[*slot] = j;
+                row_val[*slot] = val[k];
+                *slot += 1;
+            }
+        }
+
         let obj_scale = p
             .variables
             .iter()
@@ -179,6 +233,9 @@ impl StandardForm {
             col_ptr,
             row_idx,
             val,
+            row_ptr,
+            col_idx,
+            row_val,
             rhs,
             obj,
             lower,
@@ -290,10 +347,17 @@ pub(crate) struct Lp<'a> {
     art: Vec<(usize, f64)>,
     /// Current-phase objective (length of `lo`).
     obj: Vec<f64>,
+    /// Primal feasibility tolerance of each column (see [`bound_tol`]),
+    /// refreshed whenever `lo`/`up` change.
+    tol: Vec<f64>,
     basic: Vec<usize>,
     status: Vec<Status>,
     /// Row-major m x m basis inverse.
     binv: Vec<f64>,
+    /// Nonzero patterns of `binv`: per row (columns) and per column
+    /// (rows). Supersets of the nonzeros; exact after a refactorization.
+    binv_rows: Patterns,
+    binv_cols: Patterns,
     /// Values of the basic variables, by row.
     xb: Vec<f64>,
     pivots: usize,
@@ -309,23 +373,39 @@ pub(crate) struct Lp<'a> {
     scratch_w: Vec<f64>,
     scratch_d: Vec<f64>,
     scratch_a: Vec<f64>,
+    scratch_t: Vec<f64>,
+    /// Columns the dual ratio test's `alpha` row touched.
+    touched: Vec<u64>,
+    /// Scaled pivot-row nonzeros, their column mask, and the mask of the
+    /// rows a pivot updated.
+    pivot_pairs: Vec<(usize, f64)>,
+    pivot_cols: Vec<u64>,
+    updated_rows: Vec<u64>,
+    /// Refactorization workspace (allocated on first use).
+    gauss: GaussJordan,
     /// Bounds of the previous solve (for incremental rebinds on dives).
     prev_lo: Vec<f64>,
     prev_up: Vec<f64>,
+    /// Dense mirror of the inverse that checks every kernel bit for bit.
+    #[cfg(test)]
+    audit: Option<tests::Audit>,
 }
 
 impl<'a> Lp<'a> {
     pub(crate) fn new(form: &'a StandardForm) -> Self {
         let m = form.m;
-        Self {
+        let mut lp = Self {
             form,
             lo: form.lower.clone(),
             up: form.upper.clone(),
             art: Vec::new(),
             obj: form.obj.clone(),
+            tol: Vec::new(),
             basic: (0..m).map(|i| form.n_struct + i).collect(),
             status: vec![Status::Lower; form.n_total],
             binv: vec![0.0; m * m],
+            binv_rows: Patterns::new(m, m),
+            binv_cols: Patterns::new(m, m),
             xb: vec![0.0; m],
             pivots: 0,
             total_pivots: 0,
@@ -335,9 +415,26 @@ impl<'a> Lp<'a> {
             scratch_w: vec![0.0; m],
             scratch_d: Vec::new(),
             scratch_a: Vec::new(),
+            scratch_t: Vec::new(),
+            touched: Vec::new(),
+            pivot_pairs: Vec::new(),
+            pivot_cols: vec![0; m.div_ceil(64)],
+            updated_rows: vec![0; m.div_ceil(64)],
+            gauss: GaussJordan::default(),
             prev_lo: Vec::new(),
             prev_up: Vec::new(),
-        }
+            #[cfg(test)]
+            audit: None,
+        };
+        lp.refresh_tols();
+        lp
+    }
+
+    /// Recomputes every column's feasibility tolerance from `lo`/`up`.
+    fn refresh_tols(&mut self) {
+        self.tol.clear();
+        let bounds = self.lo.iter().zip(&self.up);
+        self.tol.extend(bounds.map(|(&lo, &up)| bound_tol(lo, up)));
     }
 
     /// Solves with compact pins `(variable, value)` applied over the
@@ -365,6 +462,7 @@ impl<'a> Lp<'a> {
             self.lo[i] = v;
             self.up[i] = v;
         }
+        self.refresh_tols();
         self.solve_prepared(p, warm, trace, want_basis)
     }
 
@@ -394,6 +492,7 @@ impl<'a> Lp<'a> {
         // values from scratch instead of from stale deltas.
         self.prev_lo.clear();
         self.prev_up.clear();
+        self.refresh_tols();
         self.solve_prepared(p, warm, trace, want_basis)
     }
 
@@ -450,6 +549,7 @@ impl<'a> Lp<'a> {
         self.art.clear();
         self.lo.truncate(self.form.n_total);
         self.up.truncate(self.form.n_total);
+        self.tol.truncate(self.form.n_total);
         self.obj.truncate(self.form.n_total);
         self.status.truncate(self.form.n_total);
     }
@@ -472,27 +572,58 @@ impl<'a> Lp<'a> {
         }
     }
 
-    /// `w = B^-1 A_j`.
+    /// `w = B^-1 A_j`, over the column patterns of `B^-1`.
     fn ftran(&self, j: usize, w: &mut [f64]) {
         let m = self.form.m;
         w.fill(0.0);
         self.with_col(j, |r, v| {
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi += v * self.binv[i * m + r];
+            for i in self.binv_cols.ones(r) {
+                w[i] += v * self.binv[i * m + r];
             }
         });
     }
 
-    /// `y = c_B^T B^-1` for the current-phase objective.
+    /// `y = c_B^T B^-1` for the current-phase objective, over the row
+    /// patterns of `B^-1`.
     fn compute_y(&self, y: &mut [f64]) {
         let m = self.form.m;
         y.fill(0.0);
         for i in 0..m {
             let c = self.obj[self.basic[i]];
             if c != 0.0 {
-                for (r, yr) in y.iter_mut().enumerate() {
-                    *yr += c * self.binv[i * m + r];
+                for r in self.binv_rows.ones(i) {
+                    y[r] += c * self.binv[i * m + r];
                 }
+            }
+        }
+    }
+
+    /// Accumulates row `r` of `B^-1 A` (the dual ratio test's `alpha`)
+    /// into `alphas`, which must be zero, and marks every column it adds
+    /// to in `touched`. Rows of `A` are visited in ascending order, so
+    /// each column sums its terms in the same order as a column-wise
+    /// product would.
+    fn price_row(&self, r: usize, alphas: &mut [f64], touched: &mut [u64]) {
+        let f = self.form;
+        let rho = &self.binv[r * f.m..(r + 1) * f.m];
+        for i in self.binv_rows.ones(r) {
+            let rho_i = rho[i];
+            if rho_i == 0.0 {
+                continue;
+            }
+            for k in f.row_ptr[i]..f.row_ptr[i + 1] {
+                let j = f.col_idx[k];
+                alphas[j] += rho_i * f.row_val[k];
+                set_bit(touched, j);
+            }
+            // The slack's unit entry.
+            alphas[f.n_struct + i] += rho_i;
+            set_bit(touched, f.n_struct + i);
+        }
+        for (k, &(row, sign)) in self.art.iter().enumerate() {
+            if rho[row] != 0.0 {
+                alphas[f.n_total + k] += rho[row] * sign;
+                set_bit(touched, f.n_total + k);
             }
         }
     }
@@ -518,8 +649,19 @@ impl<'a> Lp<'a> {
 
     /// Recomputes `xb = B^-1 (b - N x_N)` from scratch.
     fn compute_xb(&mut self) {
+        let mut t = std::mem::take(&mut self.scratch_t);
+        let mut xb = std::mem::take(&mut self.xb);
+        self.basic_values(&mut t, &mut xb);
+        self.scratch_t = t;
+        self.xb = xb;
+    }
+
+    /// `xb = B^-1 (b - N x_N)` over the row patterns of `B^-1`; `t` is
+    /// scratch for `b - N x_N`.
+    fn basic_values(&self, t: &mut Vec<f64>, xb: &mut [f64]) {
         let m = self.form.m;
-        let mut t = self.form.rhs.clone();
+        t.clear();
+        t.extend_from_slice(&self.form.rhs);
         for j in 0..self.ncols() {
             if self.status[j] != Status::Basic {
                 let v = self.nb_value(j);
@@ -528,69 +670,51 @@ impl<'a> Lp<'a> {
                 }
             }
         }
-        for i in 0..m {
+        for (i, xi) in xb.iter_mut().enumerate() {
             let mut s = 0.0;
-            for (r, tr) in t.iter().enumerate() {
-                s += self.binv[i * m + r] * tr;
+            for r in self.binv_rows.ones(i) {
+                s += self.binv[i * m + r] * t[r];
             }
-            self.xb[i] = s;
+            *xi = s;
         }
     }
 
-    /// Rebuilds the dense basis inverse by Gauss-Jordan elimination with
-    /// partial pivoting. Returns `false` when the basis matrix is singular.
+    /// Rebuilds the basis inverse and its exact nonzero patterns by
+    /// sparse Gauss-Jordan elimination with partial pivoting (see
+    /// [`GaussJordan`]). Returns `false` when the basis matrix is singular,
+    /// leaving the installed inverse as it was.
     fn invert_basis(&mut self) -> bool {
         let m = self.form.m;
         if m == 0 {
             return true;
         }
-        // aug = [B | I], row-major, 2m columns.
-        let w = 2 * m;
-        let mut aug = vec![0.0; m * w];
-        for (i, row) in aug.chunks_exact_mut(w).enumerate() {
-            row[m + i] = 1.0;
-        }
+        #[cfg(test)]
+        let reference = self.audit.is_some().then(|| self.dense_inverse());
+        let mut gj = std::mem::take(&mut self.gauss);
+        gj.start(m);
         for (col, &j) in self.basic.iter().enumerate() {
-            self.with_col(j, |r, v| aug[r * w + col] += v);
+            self.with_col(j, |r, v| gj.add(r, col, v));
         }
-        for col in 0..m {
-            // Partial pivot.
-            let mut best = col;
-            let mut best_mag = aug[col * w + col].abs();
-            for r in col + 1..m {
-                let mag = aug[r * w + col].abs();
-                if mag > best_mag {
-                    best = r;
-                    best_mag = mag;
+        let ok = gj.eliminate();
+        if ok {
+            self.binv.fill(0.0);
+            self.binv_rows.clear();
+            self.binv_cols.clear();
+            gj.drain(|r, c, v| {
+                self.binv[r * m + c] = v;
+                if v != 0.0 {
+                    self.binv_rows.insert(r, c);
+                    self.binv_cols.insert(c, r);
                 }
-            }
-            if best_mag < 1e-10 {
-                return false;
-            }
-            if best != col {
-                for c in 0..w {
-                    aug.swap(col * w + c, best * w + c);
-                }
-            }
-            // Scale and eliminate over the pivot row's nonzeros only
-            // (see `pivot_update`).
-            let piv = aug[col * w + col];
-            let pivot_row = scale_pivot_row(&mut aug[col * w..(col + 1) * w], piv);
-            for r in 0..m {
-                if r != col {
-                    let f = aug[r * w + col];
-                    if f.abs() > 1e-14 {
-                        for &(c, v) in &pivot_row {
-                            aug[r * w + c] -= f * v;
-                        }
-                    }
-                }
-            }
+            });
+        } else {
+            gj.drain(|_, _, _| {});
         }
-        for r in 0..m {
-            for c in 0..m {
-                self.binv[r * m + c] = aug[r * w + m + c];
-            }
+        self.gauss = gj;
+        #[cfg(test)]
+        self.audit_refactor(reference, ok);
+        if !ok {
+            return false;
         }
         self.pivots = 0;
         self.total_refactors += 1;
@@ -598,24 +722,40 @@ impl<'a> Lp<'a> {
     }
 
     /// Product-form update of the inverse after pivoting column `q`
-    /// (direction `w = B^-1 A_q`) into row `r`.
+    /// (direction `w = B^-1 A_q`) into row `r`: the pivot row is scaled
+    /// over its pattern, every row with `|w_i| > 1e-14` subtracts a
+    /// multiple of it, and the patterns grow by exactly the positions
+    /// written (the updated rows x the pivot row's nonzero columns).
     fn pivot_update(&mut self, r: usize, w: &[f64]) {
         let m = self.form.m;
-        // Pivot rows of B^-1 are mostly zeros. Skipping them changes no
-        // bit that is ever read: dividing a zero or subtracting a finite
-        // `f * 0.0` can only flip the sign of an exact zero, and every
-        // read of `binv` accumulates from `+0.0`, where a signed zero
-        // adds nothing.
-        let pivot_row = scale_pivot_row(&mut self.binv[r * m..(r + 1) * m], w[r]);
+        #[cfg(test)]
+        if let Some(audit) = &mut self.audit {
+            audit.pivot_update(m, r, w);
+        }
+        scale_pivot_row(
+            &mut self.binv[r * m..(r + 1) * m],
+            self.binv_rows.ones(r),
+            w[r],
+            &mut self.pivot_pairs,
+            &mut self.pivot_cols,
+        );
+        self.updated_rows.fill(0);
         for (i, &f) in w.iter().enumerate() {
             if i != r && f.abs() > 1e-14 {
-                for &(c, v) in &pivot_row {
+                for &(c, v) in &self.pivot_pairs {
                     self.binv[i * m + c] -= f * v;
                 }
+                self.binv_rows.or_line(i, &self.pivot_cols);
+                set_bit(&mut self.updated_rows, i);
             }
+        }
+        for &(c, _) in &self.pivot_pairs {
+            self.binv_cols.or_line(c, &self.updated_rows);
         }
         self.pivots += 1;
         self.total_pivots += 1;
+        #[cfg(test)]
+        self.audit_check();
     }
 
     fn maybe_refactor(&mut self) {
@@ -744,28 +884,12 @@ impl<'a> Lp<'a> {
         PrimalEnd::IterLimit
     }
 
-    /// Scaled feasibility tolerance for column `j` (infinite bounds do not
-    /// widen it).
-    fn feas_tol(&self, j: usize) -> f64 {
-        let lo = if self.lo[j].is_finite() {
-            self.lo[j].abs()
-        } else {
-            0.0
-        };
-        let up = if self.up[j].is_finite() {
-            self.up[j].abs()
-        } else {
-            0.0
-        };
-        FEAS_TOL * lo.max(up).max(1.0)
-    }
-
     /// Largest primal bound violation among basic variables.
     fn worst_violation(&self) -> Option<(usize, bool, f64)> {
         let mut worst: Option<(usize, bool, f64)> = None;
         for i in 0..self.form.m {
             let b = self.basic[i];
-            let tol = self.feas_tol(b);
+            let tol = self.tol[b];
             let below = self.lo[b] - self.xb[i];
             let above = self.xb[i] - self.up[b];
             if below > tol && worst.is_none_or(|(_, _, v)| below > v) {
@@ -782,26 +906,27 @@ impl<'a> Lp<'a> {
     /// preserving dual feasibility (the warm-start reoptimizer after bound
     /// or rhs changes).
     fn dual(&mut self) -> DualEnd {
-        let m = self.form.m;
         let mut y = std::mem::take(&mut self.scratch_y);
         let mut w = std::mem::take(&mut self.scratch_w);
         let mut d = std::mem::take(&mut self.scratch_d);
         let mut alphas = std::mem::take(&mut self.scratch_a);
-        let end = self.dual_loop(m, &mut y, &mut w, &mut d, &mut alphas);
+        let mut touched = std::mem::take(&mut self.touched);
+        let end = self.dual_loop(&mut y, &mut w, &mut d, &mut alphas, &mut touched);
         self.scratch_y = y;
         self.scratch_w = w;
         self.scratch_d = d;
         self.scratch_a = alphas;
+        self.touched = touched;
         end
     }
 
     fn dual_loop(
         &mut self,
-        m: usize,
         y: &mut [f64],
         w: &mut [f64],
         d: &mut Vec<f64>,
         alphas: &mut Vec<f64>,
+        touched: &mut Vec<u64>,
     ) -> DualEnd {
         // Reduced costs are priced once and then maintained incrementally
         // across pivots (`d_j -= theta * alpha_j`); a pivot-choice drift
@@ -809,7 +934,10 @@ impl<'a> Lp<'a> {
         // polish after the dual re-prices from scratch.
         let ncols = self.ncols();
         d.resize(ncols, 0.0);
+        alphas.clear();
         alphas.resize(ncols, 0.0);
+        touched.clear();
+        touched.resize(ncols.div_ceil(64), 0);
         self.compute_y(y);
         for (j, dj) in d.iter_mut().enumerate() {
             *dj = if self.status[j] == Status::Basic {
@@ -823,19 +951,24 @@ impl<'a> Lp<'a> {
             let Some((r, below, _)) = self.worst_violation() else {
                 return DualEnd::PrimalFeasible;
             };
-            let rho = &self.binv[r * m..(r + 1) * m];
+            for j in Ones::new(touched) {
+                alphas[j] = 0.0;
+            }
+            touched.fill(0);
+            self.price_row(r, alphas, touched);
 
             // Entering column: among sign-compatible candidates, the one
             // whose reduced cost reaches zero first keeps dual feasibility.
+            // Untouched columns have `alpha = 0` and cannot enter; the
+            // touched ones are visited in ascending order, so ties break
+            // as in a full column scan.
             let mut best: Option<(usize, f64)> = None; // (col, ratio)
-            for j in 0..ncols {
+            for j in Ones::new(touched) {
                 if self.status[j] == Status::Basic || !self.movable(j) {
                     alphas[j] = 0.0;
                     continue;
                 }
-                let mut alpha = 0.0;
-                self.with_col(j, |row, v| alpha += rho[row] * v);
-                alphas[j] = alpha;
+                let alpha = alphas[j];
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -893,7 +1026,7 @@ impl<'a> Lp<'a> {
             // picks up -theta, the entering one goes to zero.
             let theta = d[q] / alphas[q];
             if theta != 0.0 {
-                for j in 0..ncols {
+                for j in Ones::new(touched) {
                     if alphas[j] != 0.0 {
                         d[j] -= theta * alphas[j];
                     }
@@ -1064,10 +1197,16 @@ impl<'a> Lp<'a> {
             self.status[self.form.n_struct + i] = Status::Basic;
         }
         self.binv.fill(0.0);
+        self.binv_rows.clear();
+        self.binv_cols.clear();
         for i in 0..m {
             self.binv[i * m + i] = 1.0;
+            self.binv_rows.insert(i, i);
+            self.binv_cols.insert(i, i);
         }
         self.pivots = 0;
+        #[cfg(test)]
+        self.audit_install();
         self.compute_xb();
 
         // Phase one: artificial columns only on rows whose slack start is
@@ -1075,7 +1214,7 @@ impl<'a> Lp<'a> {
         let mut art_rows = Vec::new();
         for i in 0..m {
             let s = self.basic[i];
-            let tol = self.feas_tol(s);
+            let tol = self.tol[s];
             if self.xb[i] > self.up[s] + tol {
                 art_rows.push((i, true, 1.0));
             } else if self.xb[i] < self.lo[s] - tol {
@@ -1088,6 +1227,7 @@ impl<'a> Lp<'a> {
                 self.art.push((row, sgn));
                 self.lo.push(0.0);
                 self.up.push(f64::INFINITY);
+                self.tol.push(bound_tol(0.0, f64::INFINITY));
                 self.obj.push(0.0);
                 // The slack leaves the basis at its violated bound; the
                 // artificial absorbs the residual (positive by sign
@@ -1108,6 +1248,8 @@ impl<'a> Lp<'a> {
                     self.binv[row * m + row] = sign;
                 }
             }
+            #[cfg(test)]
+            self.audit_install();
             self.compute_xb();
             // Phase-one objective: maximize -(sum of artificials).
             self.obj = vec![0.0; self.ncols()];
@@ -1150,6 +1292,7 @@ impl<'a> Lp<'a> {
             let j = n_total + k;
             self.lo[j] = 0.0;
             self.up[j] = 0.0;
+            self.tol[j] = bound_tol(0.0, 0.0);
         }
         let mut w = vec![0.0; m];
         for r in 0..m {
@@ -1239,23 +1382,629 @@ impl<'a> Lp<'a> {
     }
 }
 
-/// Divides the nonzero entries of a pivot row by `piv` and returns them
-/// as `(column, value)` pairs; zero entries are left as they are.
-fn scale_pivot_row(row: &mut [f64], piv: f64) -> Vec<(usize, f64)> {
-    let mut nonzeros = Vec::new();
-    for (c, x) in row.iter_mut().enumerate() {
+/// Scaled feasibility tolerance of a column with bounds `[lo, up]`
+/// (infinite bounds do not widen it).
+fn bound_tol(lo: f64, up: f64) -> f64 {
+    let lo = if lo.is_finite() { lo.abs() } else { 0.0 };
+    let up = if up.is_finite() { up.abs() } else { 0.0 };
+    FEAS_TOL * lo.max(up).max(1.0)
+}
+
+/// Divides the nonzero entries of a pivot row among the positions `cols`
+/// (a superset of its nonzeros) by `piv`, collecting them as `(column,
+/// value)` pairs in `pairs` and their columns in the bitset `mask`; zero
+/// entries are left as they are.
+fn scale_pivot_row(
+    row: &mut [f64],
+    cols: Ones<'_>,
+    piv: f64,
+    pairs: &mut Vec<(usize, f64)>,
+    mask: &mut [u64],
+) {
+    pairs.clear();
+    mask.fill(0);
+    for c in cols {
+        let x = &mut row[c];
         if *x != 0.0 {
             *x /= piv;
-            nonzeros.push((c, *x));
+            pairs.push((c, *x));
+            set_bit(mask, c);
         }
     }
-    nonzeros
+}
+
+/// Sets bit `pos` of a bitset.
+fn set_bit(bits: &mut [u64], pos: usize) {
+    bits[pos / 64] |= 1 << (pos % 64);
+}
+
+/// The nonzero patterns of a matrix's lines (its rows, or its columns):
+/// one bitset of `words` `u64`s per line. Each bitset is a superset of
+/// its line's nonzero positions.
+#[derive(Debug, Clone, Default)]
+struct Patterns {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Patterns {
+    /// Empty patterns for `lines` lines of `width` positions.
+    fn new(lines: usize, width: usize) -> Self {
+        let words = width.div_ceil(64);
+        Self {
+            words,
+            bits: vec![0; lines * words],
+        }
+    }
+
+    fn line(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn insert(&mut self, i: usize, pos: usize) {
+        set_bit(&mut self.bits[i * self.words..(i + 1) * self.words], pos);
+    }
+
+    /// ORs `mask` (one line's worth of words) into line `i`.
+    fn or_line(&mut self, i: usize, mask: &[u64]) {
+        let line = &mut self.bits[i * self.words..(i + 1) * self.words];
+        for (b, &m) in line.iter_mut().zip(mask) {
+            *b |= m;
+        }
+    }
+
+    /// Exchanges lines `a` and `b`.
+    fn swap_lines(&mut self, a: usize, b: usize) {
+        for k in 0..self.words {
+            self.bits.swap(a * self.words + k, b * self.words + k);
+        }
+    }
+
+    /// Exchanges positions `a` and `b` of line `i`.
+    fn swap_positions(&mut self, i: usize, a: usize, b: usize) {
+        let line = &mut self.bits[i * self.words..(i + 1) * self.words];
+        let has = |line: &[u64], p: usize| line[p / 64] >> (p % 64) & 1;
+        let (bit_a, bit_b) = (has(line, a), has(line, b));
+        if bit_a != bit_b {
+            line[a / 64] ^= 1 << (a % 64);
+            line[b / 64] ^= 1 << (b % 64);
+        }
+    }
+
+    /// The positions in line `i`'s pattern, ascending.
+    fn ones(&self, i: usize) -> Ones<'_> {
+        Ones::new(self.line(i))
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+    }
+}
+
+/// The set positions of a bitset, ascending.
+struct Ones<'a> {
+    rest: &'a [u64],
+    base: usize,
+    bits: u64,
+}
+
+impl<'a> Ones<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        let (bits, rest) = words.split_first().map_or((0, words), |(&b, r)| (b, r));
+        Self {
+            rest,
+            base: 0,
+            bits,
+        }
+    }
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            let (&bits, rest) = self.rest.split_first()?;
+            self.bits = bits;
+            self.rest = rest;
+            self.base += 64;
+        }
+        let pos = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(pos)
+    }
+}
+
+/// Reusable Gauss-Jordan workspace for refactorizing the basis: the
+/// augmented matrix `[B | I]` (row-major, `2m` columns) with row patterns
+/// over all `2m` columns and column patterns over the `B` half. Both are
+/// supersets of the nonzeros. Between refactorizations every entry is
+/// zero and every pattern empty, so a refactorization touches only the
+/// entries the elimination fills.
+#[derive(Debug, Clone, Default)]
+struct GaussJordan {
+    m: usize,
+    aug: Vec<f64>,
+    rows: Patterns,
+    cols: Patterns,
+    pairs: Vec<(usize, f64)>,
+    /// Columns of the scaled pivot row's nonzeros (over `2m`).
+    pivot_cols: Vec<u64>,
+    /// Rows the current pivot eliminated (over `m`).
+    eliminated: Vec<u64>,
+}
+
+impl GaussJordan {
+    /// Sizes the (zero) workspace for `m` rows and loads the identity
+    /// half.
+    fn start(&mut self, m: usize) {
+        if self.aug.len() != 2 * m * m {
+            *self = Self {
+                m,
+                aug: vec![0.0; 2 * m * m],
+                rows: Patterns::new(m, 2 * m),
+                cols: Patterns::new(m, m),
+                pairs: Vec::new(),
+                pivot_cols: vec![0; (2 * m).div_ceil(64)],
+                eliminated: vec![0; m.div_ceil(64)],
+            };
+        }
+        for i in 0..m {
+            self.aug[i * 2 * m + m + i] = 1.0;
+            self.rows.insert(i, m + i);
+        }
+    }
+
+    /// Adds `v` at `(r, col)` of the `B` half.
+    fn add(&mut self, r: usize, col: usize, v: f64) {
+        self.aug[r * 2 * self.m + col] += v;
+        self.rows.insert(r, col);
+        self.cols.insert(col, r);
+    }
+
+    /// Eliminates `B` to the identity; `false` when it is singular. Pivot
+    /// choice, row order and every arithmetic step match a dense
+    /// Gauss-Jordan pass: entries outside the patterns are zero, so the
+    /// dense pass would skip or add nothing for them.
+    fn eliminate(&mut self) -> bool {
+        let m = self.m;
+        let w = 2 * m;
+        for col in 0..m {
+            // Partial pivot: the first largest magnitude at or below the
+            // diagonal.
+            let mut best = col;
+            let mut best_mag = self.aug[col * w + col].abs();
+            for r in self.cols.ones(col).filter(|&r| r > col) {
+                let mag = self.aug[r * w + col].abs();
+                if mag > best_mag {
+                    best = r;
+                    best_mag = mag;
+                }
+            }
+            if best_mag < 1e-10 {
+                return false;
+            }
+            if best != col {
+                self.swap_rows(col, best);
+            }
+            let piv = self.aug[col * w + col];
+            scale_pivot_row(
+                &mut self.aug[col * w..(col + 1) * w],
+                self.rows.ones(col),
+                piv,
+                &mut self.pairs,
+                &mut self.pivot_cols,
+            );
+            self.eliminated.fill(0);
+            for r in self.cols.ones(col) {
+                let f = self.aug[r * w + col];
+                if r != col && f.abs() > 1e-14 {
+                    for &(c, v) in &self.pairs {
+                        self.aug[r * w + c] -= f * v;
+                    }
+                    self.rows.or_line(r, &self.pivot_cols);
+                    set_bit(&mut self.eliminated, r);
+                }
+            }
+            for &(c, _) in &self.pairs {
+                if c < m {
+                    self.cols.or_line(c, &self.eliminated);
+                }
+            }
+        }
+        true
+    }
+
+    /// Swaps rows `a` and `b` over the union of their patterns.
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        let (m, w, words) = (self.m, 2 * self.m, self.rows.words);
+        for k in 0..words {
+            let mut union = self.rows.bits[a * words + k] | self.rows.bits[b * words + k];
+            while union != 0 {
+                let c = k * 64 + union.trailing_zeros() as usize;
+                union &= union - 1;
+                self.aug.swap(a * w + c, b * w + c);
+                if c < m {
+                    self.cols.swap_positions(c, a, b);
+                }
+            }
+        }
+        self.rows.swap_lines(a, b);
+    }
+
+    /// Hands every pattern entry of the `I` half to `keep(row, column,
+    /// value)` and zeroes the workspace again.
+    fn drain(&mut self, mut keep: impl FnMut(usize, usize, f64)) {
+        let (m, w) = (self.m, 2 * self.m);
+        for r in 0..m {
+            for c in self.rows.ones(r) {
+                let v = std::mem::replace(&mut self.aug[r * w + c], 0.0);
+                if c >= m {
+                    keep(r, c - m, v);
+                }
+            }
+        }
+        self.rows.clear();
+        self.cols.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Problem, Relation, Sense};
+    use crate::problem::{Problem, Relation, Sense, VarId};
+    use smart_units::rng::Rng;
+
+    /// Dense mirror of the basis inverse, advanced by the dense
+    /// Gauss-Jordan and product-form kernels the sparse ones must
+    /// reproduce bit for bit. Enabled per workspace by
+    /// [`Lp::with_audit`]; every pivot and refactorization then checks
+    /// the sparse inverse, its patterns, and every product against it.
+    #[derive(Debug, Default)]
+    pub(super) struct Audit {
+        shadow: Vec<f64>,
+        pivots: usize,
+        refactors: usize,
+    }
+
+    impl Audit {
+        /// The dense product-form update: the pivot row is scaled and
+        /// eliminated over all `m` columns.
+        pub(super) fn pivot_update(&mut self, m: usize, r: usize, w: &[f64]) {
+            let mut pivot_row = Vec::new();
+            for (c, x) in self.shadow[r * m..(r + 1) * m].iter_mut().enumerate() {
+                if *x != 0.0 {
+                    *x /= w[r];
+                    pivot_row.push((c, *x));
+                }
+            }
+            for (i, &f) in w.iter().enumerate() {
+                if i != r && f.abs() > 1e-14 {
+                    for &(c, v) in &pivot_row {
+                        self.shadow[i * m + c] -= f * v;
+                    }
+                }
+            }
+        }
+    }
+
+    impl Lp<'_> {
+        fn with_audit(mut self) -> Self {
+            self.audit = Some(Audit::default());
+            self
+        }
+
+        /// The dense Gauss-Jordan inverse of the installed basis (`None`
+        /// when singular): every row and column of `[B | I]` is scanned.
+        pub(super) fn dense_inverse(&self) -> Option<Vec<f64>> {
+            let m = self.form.m;
+            let w = 2 * m;
+            let mut aug = vec![0.0; m * w];
+            for (i, row) in aug.chunks_exact_mut(w).enumerate() {
+                row[m + i] = 1.0;
+            }
+            for (col, &j) in self.basic.iter().enumerate() {
+                self.with_col(j, |r, v| aug[r * w + col] += v);
+            }
+            for col in 0..m {
+                let mut best = col;
+                let mut best_mag = aug[col * w + col].abs();
+                for r in col + 1..m {
+                    let mag = aug[r * w + col].abs();
+                    if mag > best_mag {
+                        best = r;
+                        best_mag = mag;
+                    }
+                }
+                if best_mag < 1e-10 {
+                    return None;
+                }
+                if best != col {
+                    for c in 0..w {
+                        aug.swap(col * w + c, best * w + c);
+                    }
+                }
+                let piv = aug[col * w + col];
+                let mut pivot_row = Vec::new();
+                for (c, x) in aug[col * w..(col + 1) * w].iter_mut().enumerate() {
+                    if *x != 0.0 {
+                        *x /= piv;
+                        pivot_row.push((c, *x));
+                    }
+                }
+                for r in 0..m {
+                    let f = aug[r * w + col];
+                    if r != col && f.abs() > 1e-14 {
+                        for &(c, v) in &pivot_row {
+                            aug[r * w + c] -= f * v;
+                        }
+                    }
+                }
+            }
+            let mut inv = vec![0.0; m * m];
+            for r in 0..m {
+                inv[r * m..(r + 1) * m].copy_from_slice(&aug[r * w + m..(r + 1) * w]);
+            }
+            Some(inv)
+        }
+
+        /// A freshly installed inverse (slack or artificial basis).
+        pub(super) fn audit_install(&mut self) {
+            if let Some(audit) = &mut self.audit {
+                audit.shadow = self.binv.clone();
+                self.assert_matches_shadow();
+            }
+        }
+
+        /// After a refactorization attempt: singularity, the inverse, and
+        /// the zeroed workspace must match the dense pass.
+        pub(super) fn audit_refactor(&mut self, reference: Option<Option<Vec<f64>>>, ok: bool) {
+            let (Some(reference), Some(audit)) = (reference, &mut self.audit) else {
+                return;
+            };
+            assert_eq!(reference.is_some(), ok, "singularity verdicts differ");
+            if let Some(inv) = reference {
+                audit.shadow = inv;
+                audit.refactors += 1;
+            }
+            let gj = &self.gauss;
+            assert!(
+                gj.aug.iter().all(|x| x.to_bits() == 0),
+                "workspace left dirty"
+            );
+            assert!(gj.rows.bits.iter().chain(&gj.cols.bits).all(|&b| b == 0));
+            self.assert_matches_shadow();
+        }
+
+        /// After a product-form update.
+        pub(super) fn audit_check(&mut self) {
+            if let Some(audit) = &mut self.audit {
+                audit.pivots += 1;
+                self.assert_matches_shadow();
+            }
+        }
+
+        fn assert_matches_shadow(&self) {
+            let Some(audit) = &self.audit else {
+                return;
+            };
+            let m = self.form.m;
+            let ncols = self.ncols();
+            let shadow = &audit.shadow;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&self.binv), bits(shadow), "inverse differs from dense");
+            for i in 0..m {
+                for c in 0..m {
+                    if self.binv[i * m + c] != 0.0 {
+                        assert!(has(self.binv_rows.line(i), c), "row {i} misses {c}");
+                        assert!(has(self.binv_cols.line(c), i), "col {c} misses {i}");
+                    }
+                }
+            }
+
+            // y = c_B^T B^-1.
+            let (mut y, mut dense) = (vec![0.0; m], vec![0.0; m]);
+            self.compute_y(&mut y);
+            for i in 0..m {
+                let c = self.obj[self.basic[i]];
+                if c != 0.0 {
+                    for (r, yr) in dense.iter_mut().enumerate() {
+                        *yr += c * shadow[i * m + r];
+                    }
+                }
+            }
+            assert_eq!(bits(&y), bits(&dense), "compute_y");
+
+            // w = B^-1 A_j for every column.
+            for j in 0..ncols {
+                self.ftran(j, &mut y);
+                dense.fill(0.0);
+                self.with_col(j, |r, v| {
+                    for (i, wi) in dense.iter_mut().enumerate() {
+                        *wi += v * shadow[i * m + r];
+                    }
+                });
+                assert_eq!(bits(&y), bits(&dense), "ftran of column {j}");
+            }
+
+            // xb = B^-1 (b - N x_N). A stored basis can leave a column
+            // resting at an infinite bound until `rebind` moves it; basic
+            // values are only ever computed once every resting value is
+            // finite.
+            let mut t = self.form.rhs.clone();
+            for j in 0..ncols {
+                let v = self.nb_value(j);
+                if self.status[j] != Status::Basic && v != 0.0 {
+                    self.with_col(j, |r, val| t[r] -= val * v);
+                }
+            }
+            if t.iter().all(|x| x.is_finite()) {
+                self.basic_values(&mut Vec::new(), &mut y);
+                for (i, xi) in dense.iter_mut().enumerate() {
+                    *xi = (0..m).fold(0.0, |s, r| s + shadow[i * m + r] * t[r]);
+                }
+                assert_eq!(bits(&y), bits(&dense), "basic values");
+            }
+
+            // alpha = rho_r^T A for every row.
+            let mut alphas = vec![0.0; ncols];
+            let mut touched = vec![0; ncols.div_ceil(64)];
+            for r in 0..m {
+                alphas.fill(0.0);
+                touched.fill(0);
+                self.price_row(r, &mut alphas, &mut touched);
+                let rho = &shadow[r * m..(r + 1) * m];
+                for (j, &alpha) in alphas.iter().enumerate() {
+                    let mut reference = 0.0;
+                    self.with_col(j, |row, v| reference += rho[row] * v);
+                    assert_eq!(alpha.to_bits(), reference.to_bits(), "alpha[{r}][{j}]");
+                    assert!(has(&touched, j) || alpha == 0.0, "alpha[{r}][{j}] unmarked");
+                }
+            }
+        }
+    }
+
+    fn has(bits: &[u64], pos: usize) -> bool {
+        bits[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// A random sparse LP, feasible at a random point: small integer
+    /// coefficients (some rows scaled to byte-sized magnitudes),
+    /// `Le`/`Ge`/`Eq` rows, rows tight at that point (degenerate), repeated
+    /// (redundant) rows, and binary, boxed, and half-bounded columns.
+    fn random_lp(rng: &mut Rng, n: usize, m: usize) -> Problem {
+        let mut draw = |k: u64| rng.next_u64() % k;
+        let sense = if draw(2) == 0 {
+            Sense::Maximize
+        } else {
+            Sense::Minimize
+        };
+        let mut p = Problem::new(sense);
+        let vars: Vec<VarId> = (0..n)
+            .map(|j| match draw(3) {
+                0 => p.binary(&format!("b{j}")),
+                1 => p.continuous(&format!("c{j}"), 0.0, 1.0 + draw(6) as f64),
+                _ => p.continuous(&format!("h{j}"), draw(3) as f64, f64::INFINITY),
+            })
+            .collect();
+        let point: Vec<f64> = vars
+            .iter()
+            .map(|v| p.variables[v.index()].lower + draw(2) as f64)
+            .collect();
+        // Half-bounded columns never improve the objective, so every LP
+        // is bounded.
+        let improving = if sense == Sense::Maximize { 1.0 } else { -1.0 };
+        for &v in &vars {
+            let mut k = draw(13) as f64 - 6.0;
+            if p.variables[v.index()].upper.is_infinite() && k * improving > 0.0 {
+                k = -k;
+            }
+            p.set_objective(v, k);
+        }
+        for _ in 0..m {
+            if !p.constraints.is_empty() && draw(8) == 0 {
+                let again = p.constraints[draw(p.constraints.len() as u64) as usize].clone();
+                p.constraints.push(again);
+                continue;
+            }
+            let scale = if draw(5) == 0 { 65_536.0 } else { 1.0 };
+            let terms: Vec<(VarId, f64)> = (0..1 + draw(4))
+                .map(|_| {
+                    let magnitude = 1.0 + draw(6) as f64;
+                    let sign = if draw(3) == 0 { -1.0 } else { 1.0 };
+                    (vars[draw(n as u64) as usize], sign * magnitude * scale)
+                })
+                .collect();
+            let activity: f64 = terms.iter().map(|&(v, k)| k * point[v.index()]).sum();
+            let slack = draw(3) as f64 * scale;
+            let (relation, rhs) = match draw(5) {
+                0 => (Relation::Ge, activity - slack),
+                1 => (Relation::Eq, activity),
+                _ => (Relation::Le, activity + slack),
+            };
+            p.add_constraint(&terms, relation, rhs);
+        }
+        p
+    }
+
+    /// Pins of one to three finitely bounded variables at a bound.
+    fn random_pins(rng: &mut Rng, p: &Problem) -> Vec<(usize, f64)> {
+        let n = p.variables.len();
+        let count = 1 + rng.next_u64() % 3;
+        (0..count)
+            .map(|_| {
+                let j = (rng.next_u64() % n as u64) as usize;
+                let v = &p.variables[j];
+                let at_upper = v.upper.is_finite() && rng.next_u64().is_multiple_of(2);
+                (j, if at_upper { v.upper } else { v.lower })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_kernels_match_dense_bit_for_bit() {
+        let mut pivots = 0;
+        let mut refactors = 0;
+        let shapes = [(5, 3), (10, 6), (16, 12), (30, 20), (48, 70), (40, 130)];
+        for (shape, &(n, m)) in shapes.iter().enumerate() {
+            let seeds = if m > 64 { 2 } else { 24 };
+            for seed in 0..seeds {
+                let mut rng = Rng::stream(seed, shape as u64);
+                let p = random_lp(&mut rng, n, m);
+                let form = StandardForm::build(&p);
+                let mut lp = Lp::new(&form).with_audit();
+                let mut trace = SolveTrace::default();
+                let bounds = (form.lower.clone(), form.upper.clone());
+                let mut stored =
+                    match lp.solve(&p, bounds.0, bounds.1, Warm::Cold, &mut trace, true) {
+                        SolveOutcome::Optimal { basis, .. } => basis,
+                        _ => None,
+                    };
+                for step in 0..8 {
+                    let pins = random_pins(&mut rng, &p);
+                    let warm = match &stored {
+                        _ if step % 3 != 1 && lp.live_available() => Warm::Live,
+                        Some(basis) => Warm::Basis(basis),
+                        None => Warm::Cold,
+                    };
+                    let out = lp.solve_pinned(&p, &[], &pins, warm, &mut trace, true);
+                    if let SolveOutcome::Optimal { basis: Some(b), .. } = out {
+                        stored = Some(b);
+                    }
+                }
+                let audit = lp.audit.take().expect("audited");
+                pivots += audit.pivots;
+                refactors += audit.refactors;
+
+                // A stored basis re-solved on shifted right-hand sides.
+                let Some(basis) = stored else { continue };
+                let mut shifted = p.clone();
+                for c in &mut shifted.constraints {
+                    c.rhs += (rng.next_u64() % 3) as f64 - 1.0;
+                }
+                let shifted_form = StandardForm::build(&shifted);
+                let mut lp = Lp::new(&shifted_form).with_audit();
+                let (lo, up) = (shifted_form.lower.clone(), shifted_form.upper.clone());
+                lp.solve(&shifted, lo, up, Warm::Basis(&basis), &mut trace, false);
+                let audit = lp.audit.take().expect("audited");
+                pivots += audit.pivots;
+                refactors += audit.refactors;
+            }
+        }
+        assert!(
+            pivots > 1000 && refactors > 200,
+            "{pivots} pivots, {refactors} refactors"
+        );
+    }
+
+    #[test]
+    fn ones_lists_set_bits_in_ascending_order() {
+        let words = [0b1010_0001, 0, 1 << 63 | 1 << 2];
+        let got: Vec<usize> = Ones::new(&words).collect();
+        assert_eq!(got, vec![0, 5, 7, 130, 191]);
+        assert_eq!(Ones::new(&[]).count(), 0);
+        assert_eq!(Ones::new(&[0, 0]).count(), 0);
+    }
 
     fn solve(p: &Problem, pins: &[Option<f64>]) -> LpResult {
         let form = StandardForm::build(p);

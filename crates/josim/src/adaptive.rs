@@ -271,13 +271,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError::Singular`] for ill-formed circuits, and
-    /// [`SimulationError::NewtonDiverged`] only if the junction iteration
-    /// still fails at [`AdaptiveSpec::h_min`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probe node does not belong to the circuit.
+    /// Returns [`SimulationError::UnknownProbe`] if a probe node does not
+    /// belong to the circuit, [`SimulationError::Singular`] for ill-formed
+    /// circuits, and [`SimulationError::NewtonDiverged`] only if the
+    /// junction iteration still fails at [`AdaptiveSpec::h_min`].
     pub fn run_adaptive(
         &self,
         spec: AdaptiveSpec,
@@ -296,21 +293,15 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if a probe node does not belong to the circuit or the
-    /// workspace was prepared for a different circuit topology.
+    /// Panics if the workspace was prepared for a different circuit
+    /// topology.
     pub fn run_adaptive_with(
         &self,
         spec: AdaptiveSpec,
         probes: &[NodeId],
         ws: &mut Workspace,
     ) -> Result<Transient, SimulationError> {
-        for p in probes {
-            assert!(
-                p.index() < self.circuit().node_count(),
-                "probe node {} does not exist",
-                p.index()
-            );
-        }
+        self.check_probes(probes)?;
         assert_eq!(
             ws.a.dim(),
             self.unknown_count(),

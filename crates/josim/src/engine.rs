@@ -65,6 +65,11 @@ pub enum SimulationError {
         /// Time at which convergence failed (s).
         time: f64,
     },
+    /// A requested probe node does not belong to the circuit.
+    UnknownProbe {
+        /// Index of the offending node.
+        node: usize,
+    },
 }
 
 impl std::fmt::Display for SimulationError {
@@ -76,6 +81,7 @@ impl std::fmt::Display for SimulationError {
             Self::NewtonDiverged { time } => {
                 write!(f, "newton iteration diverged at t = {time:e} s")
             }
+            Self::UnknownProbe { node } => write!(f, "probe node {node} does not exist"),
         }
     }
 }
@@ -375,28 +381,31 @@ impl Engine {
         SparsityPattern::from_positions(self.unknowns, &collector.positions)
     }
 
+    /// Rejects probe nodes that do not belong to the circuit.
+    pub(crate) fn check_probes(&self, probes: &[NodeId]) -> Result<(), SimulationError> {
+        match probes
+            .iter()
+            .find(|p| p.index() >= self.circuit.node_count())
+        {
+            Some(p) => Err(SimulationError::UnknownProbe { node: p.index() }),
+            None => Ok(()),
+        }
+    }
+
     /// Runs a transient simulation, recording the requested probe nodes.
     ///
     /// # Errors
     ///
-    /// Returns [`SimulationError::Singular`] for ill-formed circuits and
-    /// [`SimulationError::NewtonDiverged`] if the junction iteration fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probe node does not belong to the circuit.
+    /// Returns [`SimulationError::UnknownProbe`] if a probe node does not
+    /// belong to the circuit, [`SimulationError::Singular`] for ill-formed
+    /// circuits, and [`SimulationError::NewtonDiverged`] if the junction
+    /// iteration fails.
     pub fn run(
         &self,
         spec: TransientSpec,
         probes: &[NodeId],
     ) -> Result<Transient, SimulationError> {
-        for p in probes {
-            assert!(
-                p.index() < self.circuit.node_count(),
-                "probe node {} does not exist",
-                p.index()
-            );
-        }
+        self.check_probes(probes)?;
         let h = spec.step;
         let steps = (spec.stop / h).ceil() as usize;
         let nonlinear = self.circuit.is_nonlinear();
@@ -889,16 +898,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probe node 9 does not exist")]
-    fn bad_probe_panics() {
+    fn bad_probe_is_a_typed_error() {
         let mut ckt = Circuit::new();
         let n = ckt.node();
         ckt.resistor(n, Circuit::GROUND, 1.0);
         let engine = Engine::new(ckt);
-        let _ = engine.run(
-            TransientSpec::new(1e-9, 1e-12),
-            &[crate::circuit::NodeId(9)],
-        );
+        let probes = [n, crate::circuit::NodeId(9)];
+        let err = engine
+            .run(TransientSpec::new(1e-9, 1e-12), &probes)
+            .expect_err("node 9 is not in a one-node circuit");
+        assert_eq!(err, SimulationError::UnknownProbe { node: 9 });
+        assert_eq!(err.to_string(), "probe node 9 does not exist");
+        let adaptive = engine
+            .run_adaptive(
+                crate::adaptive::AdaptiveSpec::new(1e-9, 1e-12, 1e-15, 1e-10, 1e-6),
+                &probes,
+            )
+            .expect_err("the adaptive path has the same guard");
+        assert_eq!(adaptive, err);
     }
 
     #[test]

@@ -28,16 +28,22 @@ pub struct WallEntry {
 /// closures but records nothing.
 #[derive(Debug, Default)]
 pub struct WallProfile {
-    enabled: bool,
+    /// When the recording profile was created (`None` when disabled).
+    start: Option<Instant>,
     entries: Mutex<Vec<WallEntry>>,
 }
 
+/// Microseconds in `d`, saturating.
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 impl WallProfile {
-    /// A recording profile.
+    /// A recording profile; its elapsed time runs from this call.
     #[must_use]
     pub fn enabled() -> Self {
         Self {
-            enabled: true,
+            start: Some(Instant::now()),
             entries: Mutex::new(Vec::new()),
         }
     }
@@ -51,17 +57,17 @@ impl WallProfile {
     /// Whether closures run under [`WallProfile::time`] are recorded.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.start.is_some()
     }
 
     /// Runs `f`, recording its wall duration under `label` when enabled.
     pub fn time<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
+        if !self.is_enabled() {
             return f();
         }
         let start = Instant::now();
         let out = f();
-        let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let elapsed_us = micros(start.elapsed());
         lock(&self.entries).push(WallEntry {
             label: label.to_owned(),
             elapsed_us,
@@ -76,25 +82,39 @@ impl WallProfile {
     }
 
     /// A stderr-ready summary tree: one line per entry under a root line
-    /// with the recorded total. Empty string when nothing was recorded.
+    /// with the profile's elapsed wall time, the sum of the entries'
+    /// durations, and their ratio (entries timed on parallel workers
+    /// overlap, so the sum can exceed the elapsed time). Empty string
+    /// when nothing was recorded.
     #[must_use]
     pub fn to_text(&self, root: &str) -> String {
-        let entries = self.entries();
-        if entries.is_empty() {
-            return String::new();
-        }
-        let total: u64 = entries.iter().map(|e| e.elapsed_us).sum();
-        let width = entries.iter().map(|e| e.label.len()).max().unwrap_or(0);
-        let mut out = format!("{root}: {:.1} ms wall\n", total as f64 / 1e3);
-        for e in &entries {
-            out.push_str(&format!(
-                "  {:<width$} {:>10.1} ms\n",
-                e.label,
-                e.elapsed_us as f64 / 1e3
-            ));
-        }
-        out
+        let elapsed_us = self.start.map_or(0, |s| micros(s.elapsed()));
+        render(root, elapsed_us, &self.entries())
     }
+}
+
+/// [`WallProfile::to_text`] for a given elapsed time.
+fn render(root: &str, elapsed_us: u64, entries: &[WallEntry]) -> String {
+    if entries.is_empty() {
+        return String::new();
+    }
+    let work_us: u64 = entries.iter().map(|e| e.elapsed_us).sum();
+    let width = entries.iter().map(|e| e.label.len()).max().unwrap_or(0);
+    let mut out = format!(
+        "{root}: {:.1} ms elapsed, {:.1} ms summed over {} entries ({:.2}x)\n",
+        elapsed_us as f64 / 1e3,
+        work_us as f64 / 1e3,
+        entries.len(),
+        work_us as f64 / elapsed_us.max(1) as f64
+    );
+    for e in entries {
+        out.push_str(&format!(
+            "  {:<width$} {:>10.1} ms\n",
+            e.label,
+            e.elapsed_us as f64 / 1e3
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -121,6 +141,33 @@ mod tests {
         assert_eq!(entries[1].label, "second");
         let text = p.to_text("run");
         assert!(text.starts_with("run: "), "{text}");
+        assert!(text.contains(" ms elapsed, "), "{text}");
         assert!(text.contains("first") && text.contains("second"), "{text}");
+    }
+
+    #[test]
+    fn root_line_separates_elapsed_time_from_summed_work() {
+        // Two workers, 300 ms each, inside a 400 ms run.
+        let entries = ["a", "bb"].map(|label| WallEntry {
+            label: label.to_owned(),
+            elapsed_us: 300_000,
+        });
+        let text = render("wall", 400_000, &entries);
+        assert_eq!(
+            text,
+            "wall: 400.0 ms elapsed, 600.0 ms summed over 2 entries (1.50x)\n\
+             \x20 a       300.0 ms\n\
+             \x20 bb      300.0 ms\n"
+        );
+    }
+
+    #[test]
+    fn elapsed_time_covers_every_recorded_entry() {
+        let p = WallProfile::enabled();
+        p.time("sleep", || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        let elapsed_us = p.start.map_or(0, |s| micros(s.elapsed()));
+        assert!(elapsed_us >= p.entries()[0].elapsed_us);
     }
 }
