@@ -184,21 +184,16 @@ impl ExperimentContext {
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
-        let eval = self.cache.stats();
-        reg.add("eval_cache.hits", eval.hits);
-        reg.add("eval_cache.misses", eval.misses);
-        reg.add("eval_cache.coalesced", eval.coalesced);
-        reg.set_gauge("eval_cache.entries", eval.entries as u64);
-        let circ = self.circuits.stats();
-        reg.add("circuit_cache.hits", circ.hits);
-        reg.add("circuit_cache.misses", circ.misses);
-        reg.add("circuit_cache.coalesced", circ.coalesced);
-        reg.set_gauge("circuit_cache.entries", circ.entries as u64);
-        let timing = self.timing.stats();
-        reg.add("timing_cache.hits", timing.hits);
-        reg.add("timing_cache.misses", timing.misses);
-        reg.add("timing_cache.coalesced", timing.coalesced);
-        reg.set_gauge("timing_cache.entries", timing.entries as u64);
+        for (cache, stats) in [
+            ("eval_cache", self.cache.stats()),
+            ("circuit_cache", self.circuits.stats()),
+            ("timing_cache", self.timing.stats()),
+        ] {
+            reg.add(&format!("{cache}.hits"), stats.hits);
+            reg.add(&format!("{cache}.misses"), stats.misses);
+            reg.add(&format!("{cache}.coalesced"), stats.coalesced);
+            reg.set_gauge(&format!("{cache}.entries"), stats.entries as u64);
+        }
         let solver = self.timing.solver().stats();
         reg.add("ilp.warm_attempts", solver.warm_attempts);
         reg.add("ilp.warm_hits", solver.warm_hits);

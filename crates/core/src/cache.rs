@@ -7,71 +7,31 @@
 //! prefetch sweep's `a = 3` point *is* the SMART scheme of Figs. 18-21.
 //! Keying on the full `(Scheme, ModelId, batch)` value (not the display
 //! name: sweeps reuse the name "SMART" across physically different SPMs)
-//! makes those recomputations a hash lookup, and the `Mutex`-guarded map
-//! makes one cache shareable across the experiment runner's worker
-//! threads.
+//! makes those recomputations a hash lookup.
 //!
-//! Concurrent misses on one key are **single-flight**: each key maps to an
-//! [`OnceLock`] cell, so the first thread to claim it runs the evaluator
-//! while the rest block on the cell and share the result — the old
-//! drop-the-lock-then-insert window that could evaluate a point twice is
-//! gone (`concurrent_misses_evaluate_once` pins this).
-//!
-//! Behind the exact-key map sits a **warm store**: content-hash-keyed
-//! reports persisted by a previous process ([`save`]/[`load`], through the
-//! [`smart_units::codec`] container). A warm entry is consulted on a miss
-//! before the evaluator runs, values round-trip bit-exactly (IEEE bit
-//! patterns), and a missing/corrupt/version-mismatched file simply loads
-//! zero entries — the run starts cold, never wrong.
+//! The cache is a typed wrapper over [`smart_units::memo::Memo`], which
+//! decides the single-flight policy, the counters, and the content-hash
+//! warm tier persisted by a previous process ([`save`]/[`load`]): values
+//! round-trip bit-exactly (IEEE bit patterns), and a
+//! missing/corrupt/version-mismatched file simply loads zero entries —
+//! the run starts cold, never wrong.
 
 use crate::eval::{evaluate, EnergyReport, InferenceReport, LayerReport};
 use crate::scheme::Scheme;
 use smart_systolic::models::ModelId;
-use smart_units::codec::{content_hash, ByteReader, ByteWriter, Store};
-use smart_units::sync::lock;
+use smart_units::codec::{intern, ByteReader, ByteWriter, Persist, StoreFile};
+use smart_units::memo::{Memo, MemoStats};
 use smart_units::{Energy, Time};
-use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-type Key = (Scheme, ModelId, u32);
-type Slot = Arc<OnceLock<Arc<InferenceReport>>>;
-
-/// Hit/miss/size counters of an [`EvalCache`] (for reporting and tuning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from a ready entry (an exact-map or warm-store
-    /// result already stored when the lookup arrived).
-    pub hits: u64,
-    /// Lookups that ran the evaluator.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight evaluation of
-    /// the same key and shared its result. The hit/coalesced split
-    /// depends on thread timing; `hits + coalesced` is the deterministic
-    /// count of lookups served without running the evaluator.
-    pub coalesced: u64,
-    /// Distinct `(Scheme, ModelId, batch)` points stored.
-    pub entries: usize,
-}
+use std::sync::Arc;
 
 /// A memoized, thread-safe, single-flight front end to [`evaluate`].
 ///
 /// Reports are returned as [`Arc`]s so concurrent experiments share one
-/// allocation per evaluated point. The lock is never held while
-/// evaluating; concurrent misses of one key block on the point's
-/// [`OnceLock`] cell instead of evaluating twice.
+/// allocation per evaluated point.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    // lint:allow(determinism, exact-key memo map is lookup-only during a run; serialization iterates the ordered warm tier instead)
-    map: Mutex<HashMap<Key, Slot>>,
-    /// Content-hash-keyed reports reloaded from a previous process;
-    /// consulted on a miss, never written during a run. Ordered, so
-    /// serialization is deterministic without a separate sort.
-    warm: Mutex<BTreeMap<u128, Arc<InferenceReport>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    memo: Memo<(Scheme, ModelId, u32), InferenceReport>,
 }
 
 impl EvalCache {
@@ -91,179 +51,93 @@ impl EvalCache {
     /// the poison-proof locks keep every other lookup alive.
     #[must_use]
     pub fn report(&self, scheme: &Scheme, model: ModelId, batch: u32) -> Arc<InferenceReport> {
-        // One key clone per lookup, reused on the miss path. (A borrowed
-        // probe would need `(Scheme, ModelId, u32)` to have a borrowed
-        // form; a Scheme clone is a few dozen Copy fields, far below the
-        // cost of the evaluation it saves.)
-        let key = (scheme.clone(), model, batch);
-        let cell = {
-            let mut map = lock(&self.map);
-            Arc::clone(map.entry(key).or_default())
-        };
-        // Probe before entering the single-flight cell: a ready result is
-        // a plain hit; a lookup that reaches `get_or_init` without
-        // running the closure waited on another thread's in-flight
-        // evaluation and is counted separately as coalesced.
-        if let Some(found) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
-        }
-        let mut ran = false;
-        let report = Arc::clone(cell.get_or_init(|| {
-            ran = true;
-            let probe = (scheme.clone(), model, batch);
-            if let Some(found) = lock(&self.warm).get(&content_hash(&probe)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(found);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            Arc::new(evaluate(scheme, &model.build(), batch))
-        }));
-        if !ran {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        report
-    }
-
-    /// Installs `entries` (content-hash keyed, from a persisted store) as
-    /// the warm tier; returns how many are now loaded.
-    fn load_warm_entries(&self, entries: BTreeMap<u128, Arc<InferenceReport>>) -> usize {
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
-    }
-
-    /// Every persistable entry: the warm tier plus all ready cells,
-    /// ordered by content hash (deterministic store bytes).
-    fn snapshot_entries(&self) -> BTreeMap<u128, Arc<InferenceReport>> {
-        let mut out = lock(&self.warm).clone();
-        let map = lock(&self.map);
-        for (key, cell) in map.iter() {
-            if let Some(report) = cell.get() {
-                out.insert(content_hash(key), Arc::clone(report));
-            }
-        }
-        out
+        self.memo
+            .get_or_compute(&(scheme.clone(), model, batch), || {
+                evaluate(scheme, &model.build(), batch)
+            })
     }
 
     /// Current counters.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: lock(&self.map).len(),
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 }
 
 // --- Persistence ------------------------------------------------------
 
-/// Store tag of the eval-cache file.
-const TAG: &str = "smart-eval-cache";
-
-/// Bump when the serialized report layout changes (older files then fall
-/// back to cold).
-const VERSION: u32 = 1;
-
 /// File name of the eval store inside a `--cache-dir`.
 pub const FILE_NAME: &str = "eval-cache.bin";
 
-/// Interns a scheme name loaded from a store (reports carry
-/// `&'static str` names; each distinct name leaks once per process).
-fn intern(name: String) -> &'static str {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut names = lock(NAMES.get_or_init(|| Mutex::new(Vec::new())));
-    if let Some(found) = names.iter().find(|n| **n == name) {
-        return found;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    names.push(leaked);
-    leaked
-}
+/// The eval store; bump `version` when the serialized report layout
+/// changes (older files then fall back to cold).
+const STORE: StoreFile = StoreFile {
+    name: FILE_NAME,
+    tag: "smart-eval-cache",
+    version: 1,
+};
 
-fn write_report(w: &mut ByteWriter, report: &InferenceReport) {
-    w.str(report.scheme);
-    w.str(&report.model);
-    w.u32(report.batch);
-    w.u64(report.layers.len() as u64);
-    for l in &report.layers {
-        w.str(&l.name);
-        w.f64(l.compute.as_si());
-        w.f64(l.stream_stall.as_si());
-        w.f64(l.exposed_mem.as_si());
-        w.f64(l.total.as_si());
-        w.u64(l.macs);
-        w.f64(l.spm_energy.as_si());
+impl Persist for InferenceReport {
+    fn write(&self, w: &mut ByteWriter) {
+        w.str(self.scheme);
+        w.str(&self.model);
+        w.u32(self.batch);
+        w.u64(self.layers.len() as u64);
+        for l in &self.layers {
+            w.str(&l.name);
+            w.f64(l.compute.as_si());
+            w.f64(l.stream_stall.as_si());
+            w.f64(l.exposed_mem.as_si());
+            w.f64(l.total.as_si());
+            w.u64(l.macs);
+            w.f64(l.spm_energy.as_si());
+        }
+        w.f64(self.total_time.as_si());
+        w.u64(self.macs);
+        w.f64(self.energy.matrix.as_si());
+        w.f64(self.energy.spm_dynamic.as_si());
+        w.f64(self.energy.spm_static.as_si());
+        w.f64(self.energy.total.as_si());
     }
-    w.f64(report.total_time.as_si());
-    w.u64(report.macs);
-    w.f64(report.energy.matrix.as_si());
-    w.f64(report.energy.spm_dynamic.as_si());
-    w.f64(report.energy.spm_static.as_si());
-    w.f64(report.energy.total.as_si());
-}
 
-fn read_report(r: &mut ByteReader<'_>) -> Option<InferenceReport> {
-    let scheme = intern(r.str()?);
-    let model = r.str()?;
-    let batch = r.u32()?;
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut layers = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        layers.push(LayerReport {
-            name: r.str()?,
-            compute: Time::from_si(r.f64()?),
-            stream_stall: Time::from_si(r.f64()?),
-            exposed_mem: Time::from_si(r.f64()?),
-            total: Time::from_si(r.f64()?),
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        let scheme = intern(r.str()?);
+        let model = r.str()?;
+        let batch = r.u32()?;
+        let n = usize::try_from(r.u64()?).ok()?;
+        let mut layers = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            layers.push(LayerReport {
+                name: r.str()?,
+                compute: Time::from_si(r.f64()?),
+                stream_stall: Time::from_si(r.f64()?),
+                exposed_mem: Time::from_si(r.f64()?),
+                total: Time::from_si(r.f64()?),
+                macs: r.u64()?,
+                spm_energy: Energy::from_si(r.f64()?),
+            });
+        }
+        Some(InferenceReport {
+            scheme,
+            model,
+            batch,
+            layers,
+            total_time: Time::from_si(r.f64()?),
             macs: r.u64()?,
-            spm_energy: Energy::from_si(r.f64()?),
-        });
+            energy: EnergyReport {
+                matrix: Energy::from_si(r.f64()?),
+                spm_dynamic: Energy::from_si(r.f64()?),
+                spm_static: Energy::from_si(r.f64()?),
+                total: Energy::from_si(r.f64()?),
+            },
+        })
     }
-    Some(InferenceReport {
-        scheme,
-        model,
-        batch,
-        layers,
-        total_time: Time::from_si(r.f64()?),
-        macs: r.u64()?,
-        energy: EnergyReport {
-            matrix: Energy::from_si(r.f64()?),
-            spm_dynamic: Energy::from_si(r.f64()?),
-            spm_static: Energy::from_si(r.f64()?),
-            total: Energy::from_si(r.f64()?),
-        },
-    })
 }
 
 /// Serializes every persistable entry of `cache` into a store payload.
 #[must_use]
 pub fn to_bytes(cache: &EvalCache) -> Vec<u8> {
-    let entries = cache.snapshot_entries();
-    let mut w = ByteWriter::new();
-    w.u64(entries.len() as u64);
-    // BTreeMap iteration is key-ordered: deterministic file bytes.
-    for (key, report) in &entries {
-        w.u128(*key);
-        write_report(&mut w, report);
-    }
-    w.into_bytes()
-}
-
-fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<InferenceReport>>> {
-    let mut r = ByteReader::new(payload);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.u128()?;
-        entries.insert(key, Arc::new(read_report(&mut r)?));
-    }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(entries)
+    cache.memo.to_bytes()
 }
 
 /// Saves `cache` to `dir/`[`FILE_NAME`] (atomically).
@@ -273,21 +147,14 @@ fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<InferenceReport>>> {
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &EvalCache, dir: &Path) -> smart_units::Result<()> {
-    Store::write_file(&dir.join(FILE_NAME), TAG, VERSION, to_bytes(cache))?;
-    Ok(())
+    cache.memo.save(dir, &STORE)
 }
 
 /// Loads `dir/`[`FILE_NAME`] into `cache`'s warm tier; returns how many
 /// entries are now warm. A missing, corrupted, truncated, or
 /// version-mismatched file loads zero entries — the run starts cold.
 pub fn load(cache: &EvalCache, dir: &Path) -> usize {
-    let Some(payload) = Store::read_file(&dir.join(FILE_NAME), TAG, VERSION) else {
-        return 0;
-    };
-    let Some(entries) = from_bytes(&payload) else {
-        return 0;
-    };
-    cache.load_warm_entries(entries)
+    cache.memo.load(dir, &STORE)
 }
 
 #[cfg(test)]
@@ -370,41 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn waiter_on_an_in_flight_evaluation_counts_as_coalesced() {
-        // Pin the hit/coalesced distinction: a lookup that arrives while
-        // another thread is *inside* the evaluator must count as
-        // coalesced, not as a plain hit. The barrier guarantees the owner
-        // is inside `get_or_init` before the waiter starts, and the sleep
-        // keeps it there while the waiter's probe misses.
-        let cache = EvalCache::new();
-        let scheme = Scheme::smart();
-        let key = (scheme.clone(), ModelId::AlexNet, 1u32);
-        let cell = {
-            let mut map = lock(&cache.map);
-            Arc::clone(map.entry(key).or_default())
-        };
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                cell.get_or_init(|| {
-                    barrier.wait();
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                    Arc::new(evaluate(&scheme, &ModelId::AlexNet.build(), 1))
-                });
-            });
-            barrier.wait();
-            let report = cache.report(&scheme, ModelId::AlexNet, 1);
-            assert!(report.total_time.as_s() > 0.0);
-        });
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.coalesced),
-            (0, 0, 1),
-            "{stats:?}"
-        );
-    }
-
-    #[test]
     fn persisted_cache_round_trips_bit_exactly() {
         let dir = std::env::temp_dir().join(format!("smart-eval-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -469,20 +301,17 @@ mod tests {
 
     #[test]
     fn panicking_evaluation_poisons_nothing_else() {
-        // A worker that panics mid-evaluation (simulated by panicking
-        // while the map lock is held) must not take the cache down with
-        // it: later lookups on other keys still work.
+        // A worker whose evaluation panics (batch 0 trips the evaluator's
+        // assert) must not take the cache down with it: later lookups on
+        // other keys still work.
         let cache = EvalCache::new();
         let poisoned = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = cache.map.lock();
-                panic!("die holding the cache lock");
-            })
-            .join()
+            s.spawn(|| cache.report(&Scheme::smart(), ModelId::AlexNet, 0))
+                .join()
         });
         assert!(poisoned.is_err());
         let report = cache.report(&Scheme::smart(), ModelId::AlexNet, 1);
         assert!(report.total_time.as_s() > 0.0);
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -36,7 +36,7 @@ use crate::revised::{Basis, Status};
 use crate::solver::MipSolution;
 use smart_trace::Tracer;
 use smart_units::codec::content_hash;
-use smart_units::codec::{ByteReader, ByteWriter, Store};
+use smart_units::codec::{ByteReader, ByteWriter, StoreFile};
 use smart_units::sync::lock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -347,43 +347,34 @@ impl SolverContext {
         bases.len() + solutions.len()
     }
 
-    /// Saves the basis store to `dir/`[`BASIS_FILE_NAME`] (atomically).
+    /// Saves the basis store to `dir/ilp-bases.bin` (atomically).
     ///
     /// # Errors
     ///
     /// [`smart_units::SmartError::Store`] on any underlying filesystem
     /// failure.
     pub fn save_to(&self, dir: &Path) -> smart_units::Result<()> {
-        Store::write_file(
-            &dir.join(BASIS_FILE_NAME),
-            BASIS_TAG,
-            BASIS_VERSION,
-            self.to_bytes(),
-        )?;
-        Ok(())
+        BASIS_STORE.write(dir, self.to_bytes())
     }
 
-    /// Loads `dir/`[`BASIS_FILE_NAME`] into this context; returns how many
+    /// Loads `dir/ilp-bases.bin` into this context; returns how many
     /// entries (bases plus memoized solutions) are now stored. A missing,
     /// corrupted, truncated, or version-mismatched file loads zero —
     /// solves start cold.
     pub fn load_from(&self, dir: &Path) -> usize {
-        let Some(payload) = Store::read_file(&dir.join(BASIS_FILE_NAME), BASIS_TAG, BASIS_VERSION)
-        else {
-            return 0;
-        };
-        self.load_bytes(&payload)
+        BASIS_STORE
+            .read(dir)
+            .map_or(0, |payload| self.load_bytes(&payload))
     }
 }
 
-/// Store tag of the warm-start basis file.
-const BASIS_TAG: &str = "smart-ilp-bases";
-
-/// Bump when the serialized basis/solution layout changes.
-const BASIS_VERSION: u32 = 2;
-
-/// File name of the basis store inside a `--cache-dir`.
-pub const BASIS_FILE_NAME: &str = "ilp-bases.bin";
+/// The warm-start basis store inside a `--cache-dir`; bump `version` when
+/// the serialized basis/solution layout changes.
+const BASIS_STORE: StoreFile = StoreFile {
+    name: "ilp-bases.bin",
+    tag: "smart-ilp-bases",
+    version: 2,
+};
 
 /// Fingerprint of a problem's warm-start-compatible structure: sense,
 /// variables (bounds, integrality, objective), and constraint matrix
@@ -548,7 +539,7 @@ mod tests {
         assert_eq!(warm.stats().solution_hits, 1);
 
         // Truncation and bit corruption fall back to cold.
-        let path = dir.join(BASIS_FILE_NAME);
+        let path = dir.join(BASIS_STORE.name);
         let good = std::fs::read(&path).expect("reads");
         std::fs::write(&path, &good[..good.len() / 2]).expect("writes");
         assert_eq!(SolverContext::new().load_from(&dir), 0);

@@ -7,63 +7,30 @@
 //! process that runs the suite more than once (tests exercising several
 //! experiments, a long-lived service re-rendering figures) re-hits whole
 //! grids. Keying on the full integer-encoded [`CellSpec`] value makes
-//! those transient re-simulations a hash lookup, and the `Mutex`-guarded
-//! map makes one cache shareable across `parallel_map` worker threads.
-//! Failed simulations are *not* cached: errors propagate to the caller and
-//! the next lookup retries.
+//! those transient re-simulations a hash lookup. Failed simulations are
+//! *not* cached: errors propagate to the caller and the next lookup
+//! retries.
 //!
-//! Concurrent misses on one cell are **single-flight** (an [`OnceLock`]
-//! per spec: one thread simulates, the rest block and share), and a
-//! content-hash-keyed **warm store** persisted by a previous process
-//! ([`save`]/[`load`] through the [`smart_units::codec`] container) is
-//! consulted before any transient simulation runs. A missing, corrupted,
-//! or version-mismatched store loads zero entries — cold, never wrong.
+//! The cache is a typed wrapper over [`smart_units::memo::Memo`], which
+//! decides the single-flight policy, the counters, and the content-hash
+//! warm tier persisted by a previous process ([`save`]/[`load`]). A
+//! missing, corrupted, or version-mismatched store loads zero entries —
+//! cold, never wrong.
 
 use crate::cells::{characterize, CellMeasurement, CellSpec};
-use smart_units::codec::{content_hash, ByteReader, ByteWriter, Store};
-use smart_units::sync::lock;
-use smart_units::Result;
-use std::collections::{BTreeMap, HashMap};
+use smart_units::codec::{ByteReader, ByteWriter, Persist, StoreFile};
+use smart_units::memo::{Memo, MemoStats};
+use smart_units::{Result, SmartError};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-type Slot = Arc<OnceLock<Result<Arc<CellMeasurement>>>>;
-
-/// Hit/miss/size counters of a [`CircuitCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CircuitCacheStats {
-    /// Lookups served from a ready entry (an exact-map or warm-store
-    /// measurement already stored when the lookup arrived).
-    pub hits: u64,
-    /// Lookups that ran a transient simulation.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight simulation of
-    /// the same spec and shared its result. The hit/coalesced split
-    /// depends on thread timing; `hits + coalesced` is the deterministic
-    /// count of lookups served without simulating.
-    pub coalesced: u64,
-    /// Distinct cells stored.
-    pub entries: usize,
-}
+use std::sync::Arc;
 
 /// A memoized, thread-safe, single-flight front end to [`characterize`].
 ///
 /// Measurements are returned as [`Arc`]s so concurrent experiments share
-/// one allocation per measured cell. The lock is never held while
-/// simulating; concurrent misses of one spec block on the cell's
-/// [`OnceLock`] instead of simulating twice.
+/// one allocation per measured cell.
 #[derive(Debug, Default)]
 pub struct CircuitCache {
-    // lint:allow(determinism, exact-key memo map is lookup-only during a run; serialization iterates the ordered warm tier instead)
-    map: Mutex<HashMap<CellSpec, Slot>>,
-    /// Content-hash-keyed measurements reloaded from a previous process;
-    /// consulted on a miss, never written during a run. Ordered, so
-    /// serialization is deterministic without a separate sort.
-    warm: Mutex<BTreeMap<u128, Arc<CellMeasurement>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    memo: Memo<CellSpec, CellMeasurement, SmartError>,
 }
 
 impl CircuitCache {
@@ -81,129 +48,55 @@ impl CircuitCache {
     /// panicking simulation on another thread costs at most its own memo
     /// entry — the poison-proof locks keep every other lookup alive.
     pub fn measure(&self, spec: &CellSpec) -> Result<Arc<CellMeasurement>> {
-        let cell = {
-            let mut map = lock(&self.map);
-            Arc::clone(map.entry(*spec).or_default())
-        };
-        // Probe before entering the single-flight cell: a ready result is
-        // a plain hit; reaching `get_or_init` without running the closure
-        // means this lookup waited on another thread's in-flight
-        // simulation and is counted separately as coalesced.
-        if let Some(result) = cell.get() {
-            if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return result.clone();
-        }
-        let mut ran = false;
-        let result = cell
-            .get_or_init(|| {
-                ran = true;
-                if let Some(found) = lock(&self.warm).get(&content_hash(spec)) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(found));
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                characterize(spec).map(Arc::new)
-            })
-            .clone();
-        if ran && result.is_err() {
-            // Errors are not cached: drop the cell so the next lookup
-            // retries (only if it is still ours).
-            let mut map = lock(&self.map);
-            if map.get(spec).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
-                map.remove(spec);
-            }
-        }
-        if !ran && result.is_ok() {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Installs `entries` (content-hash keyed, from a persisted store) as
-    /// the warm tier; returns how many are now loaded.
-    fn load_warm_entries(&self, entries: BTreeMap<u128, Arc<CellMeasurement>>) -> usize {
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
-    }
-
-    /// Every persistable entry: the warm tier plus all ready `Ok` cells,
-    /// ordered by content hash (deterministic store bytes).
-    fn snapshot_entries(&self) -> BTreeMap<u128, Arc<CellMeasurement>> {
-        let mut out = lock(&self.warm).clone();
-        let map = lock(&self.map);
-        for (spec, cell) in map.iter() {
-            if let Some(Ok(m)) = cell.get() {
-                out.insert(content_hash(spec), Arc::clone(m));
-            }
-        }
-        out
+        self.memo.get_or_try(spec, || characterize(spec))
     }
 
     /// Current counters.
     #[must_use]
-    pub fn stats(&self) -> CircuitCacheStats {
-        CircuitCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: lock(&self.map).len(),
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 }
 
 // --- Persistence ------------------------------------------------------
 
-/// Store tag of the circuit-cache file.
-const TAG: &str = "smart-circuit-cache";
-
-/// Bump when the serialized measurement layout changes.
-const VERSION: u32 = 1;
-
 /// File name of the circuit store inside a `--cache-dir`.
 pub const FILE_NAME: &str = "circuit-cache.bin";
 
-/// Serializes every persistable entry of `cache` into a store payload.
-#[must_use]
-pub fn to_bytes(cache: &CircuitCache) -> Vec<u8> {
-    let entries = cache.snapshot_entries();
-    let mut w = ByteWriter::new();
-    w.u64(entries.len() as u64);
-    // BTreeMap iteration is key-ordered: deterministic file bytes.
-    for (key, m) in &entries {
-        w.u128(*key);
-        w.f64(m.delay);
-        w.f64(m.delay_per_hop);
-        w.u32(m.min_output_pulses);
-        w.u32(m.max_output_pulses);
-        w.f64(m.dissipated_energy);
-        w.u64(m.steps as u64);
-    }
-    w.into_bytes()
-}
+/// The circuit store; bump `version` when the serialized measurement
+/// layout changes.
+const STORE: StoreFile = StoreFile {
+    name: FILE_NAME,
+    tag: "smart-circuit-cache",
+    version: 1,
+};
 
-fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<CellMeasurement>>> {
-    let mut r = ByteReader::new(payload);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.u128()?;
-        let m = CellMeasurement {
+impl Persist for CellMeasurement {
+    fn write(&self, w: &mut ByteWriter) {
+        w.f64(self.delay);
+        w.f64(self.delay_per_hop);
+        w.u32(self.min_output_pulses);
+        w.u32(self.max_output_pulses);
+        w.f64(self.dissipated_energy);
+        w.u64(self.steps as u64);
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        Some(CellMeasurement {
             delay: r.f64()?,
             delay_per_hop: r.f64()?,
             min_output_pulses: r.u32()?,
             max_output_pulses: r.u32()?,
             dissipated_energy: r.f64()?,
             steps: usize::try_from(r.u64()?).ok()?,
-        };
-        entries.insert(key, Arc::new(m));
+        })
     }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(entries)
+}
+
+/// Serializes every persistable entry of `cache` into a store payload.
+#[must_use]
+pub fn to_bytes(cache: &CircuitCache) -> Vec<u8> {
+    cache.memo.to_bytes()
 }
 
 /// Saves `cache` to `dir/`[`FILE_NAME`] (atomically).
@@ -213,21 +106,14 @@ fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<CellMeasurement>>> {
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &CircuitCache, dir: &Path) -> Result<()> {
-    Store::write_file(&dir.join(FILE_NAME), TAG, VERSION, to_bytes(cache))?;
-    Ok(())
+    cache.memo.save(dir, &STORE)
 }
 
 /// Loads `dir/`[`FILE_NAME`] into `cache`'s warm tier; returns how many
 /// entries are now warm. A missing, corrupted, truncated, or
 /// version-mismatched file loads zero entries — the run starts cold.
 pub fn load(cache: &CircuitCache, dir: &Path) -> usize {
-    let Some(payload) = Store::read_file(&dir.join(FILE_NAME), TAG, VERSION) else {
-        return 0;
-    };
-    let Some(entries) = from_bytes(&payload) else {
-        return 0;
-    };
-    cache.load_warm_entries(entries)
+    cache.memo.load(dir, &STORE)
 }
 
 #[cfg(test)]

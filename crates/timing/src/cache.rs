@@ -9,25 +9,15 @@
 //! experiment runner's worker threads. Errors (non-heterogeneous schemes)
 //! are not cached.
 //!
-//! Concurrent misses on one key are **single-flight**: the map stores an
-//! [`OnceLock`] cell per key, so the first thread to claim a cell runs the
-//! replay while every other thread blocks on the same cell and shares the
-//! result — the old drop-the-lock-then-insert window that let two threads
-//! replay the same model twice is gone (`concurrent_misses_replay_once`
-//! pins this).
-//!
-//! Two more tiers sit behind the exact-key map:
-//!
-//! * a **warm store** of content-hash-keyed reports loaded from a previous
-//!   process via [`crate::persist`] — consulted on a miss before the
-//!   replay runs, so a `--cache-dir` run starts warm;
-//! * the **sweep path** ([`TimingCache::sweep`]): uncached points of a
-//!   config sweep are compiled once per `(scheme, model)` through
-//!   [`crate::validate::prepare_model`] and replayed by the batched
-//!   struct-of-arrays kernel, instead of paying one full
-//!   `simulate_scheme` per point.
-
-// lint:allow-file(index, sweep slots are allocated one per requested config before being indexed)
+//! The cache is a typed wrapper over [`smart_units::memo::Memo`], which
+//! decides the single-flight policy, the counters, and the warm tier of
+//! content-hash-keyed reports loaded from a previous process via
+//! [`crate::persist`]. On top of it sits the **sweep path**
+//! ([`TimingCache::sweep`]): uncached points of a config sweep are
+//! compiled once per `(scheme, model)` through
+//! [`crate::validate::prepare_model`] and replayed by the batched
+//! struct-of-arrays kernel, instead of paying one full `simulate_scheme`
+//! per point.
 
 use crate::config::TimingConfig;
 use crate::report::ModelTimingReport;
@@ -35,51 +25,20 @@ use crate::validate::prepare_model_ctx;
 use smart_compiler::SolverContext;
 use smart_core::scheme::Scheme;
 use smart_systolic::models::ModelId;
-use smart_units::codec::content_hash;
-use smart_units::sync::lock;
-use smart_units::Result;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-type Key = (Scheme, ModelId, TimingConfig);
-type Slot = Arc<OnceLock<Result<Arc<ModelTimingReport>>>>;
-
-/// Hit/miss/size counters of a [`TimingCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingCacheStats {
-    /// Lookups served from a ready entry (an exact-map or warm-store
-    /// result already stored when the lookup arrived).
-    pub hits: u64,
-    /// Lookups that ran the replay simulator.
-    pub misses: u64,
-    /// Lookups that blocked on another thread's in-flight replay of the
-    /// same key and shared its result. The hit/coalesced split depends
-    /// on thread timing; `hits + coalesced` is the deterministic count
-    /// of lookups served without running the replay.
-    pub coalesced: u64,
-    /// Distinct `(Scheme, ModelId, TimingConfig)` points stored.
-    pub entries: usize,
-}
+use smart_units::memo::{Claim, Memo, MemoStats};
+use smart_units::{Result, SmartError};
+use std::sync::Arc;
 
 /// A memoized, thread-safe, single-flight front end to the replay
 /// simulator.
 #[derive(Debug, Default)]
 pub struct TimingCache {
-    // lint:allow(determinism, exact-key memo map: lookup-only during a run; serialization iterates the content-hash-ordered warm tier instead)
-    map: Mutex<HashMap<Key, Slot>>,
-    /// Content-hash-keyed reports reloaded from a previous process (see
-    /// [`crate::persist`]); consulted on a miss, never written during a
-    /// run. Key-ordered so persisted store bytes are deterministic.
-    warm: Mutex<BTreeMap<u128, Arc<ModelTimingReport>>>,
+    pub(crate) memo: Memo<(Scheme, ModelId, TimingConfig), ModelTimingReport, SmartError>,
     /// ILP warm-start state threaded through every replay compile this
     /// cache runs, so bases reuse across models — and, via
     /// [`SolverContext::save_to`]/[`SolverContext::load_from`], across
     /// processes.
     solver: SolverContext,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl TimingCache {
@@ -96,32 +55,15 @@ impl TimingCache {
         &self.solver
     }
 
-    /// The cell for `key`, plus whether this call created it (and
-    /// therefore owns its initialization).
-    fn slot(&self, key: &Key) -> (Slot, bool) {
-        let mut map = lock(&self.map);
-        if let Some(cell) = map.get(key) {
-            (Arc::clone(cell), false)
-        } else {
-            let cell: Slot = Arc::new(OnceLock::new());
-            map.insert(key.clone(), Arc::clone(&cell));
-            (Arc::clone(&cell), true)
-        }
-    }
-
-    /// Drops `key` from the map if it still holds exactly `cell` (the
-    /// errors-are-not-cached path: the next lookup retries).
-    fn evict(&self, key: &Key, cell: &Slot) {
-        let mut map = lock(&self.map);
-        if map.get(key).is_some_and(|c| Arc::ptr_eq(c, cell)) {
-            map.remove(key);
-        }
-    }
-
-    /// The warm-store entry for `key`, if a previous process persisted
-    /// one.
-    fn warm_lookup(&self, key: &Key) -> Option<Arc<ModelTimingReport>> {
-        lock(&self.warm).get(&content_hash(key)).cloned()
+    /// One full replay of `cfg`: the ILP compile plus the finish pass.
+    fn replay(
+        &self,
+        scheme: &Scheme,
+        model: ModelId,
+        cfg: &TimingConfig,
+    ) -> Result<ModelTimingReport> {
+        prepare_model_ctx(scheme, &model.build(), cfg.max_iterations, &self.solver)
+            .map(|prepass| prepass.replay(cfg))
     }
 
     /// The memoized equivalent of
@@ -137,48 +79,19 @@ impl TimingCache {
         model: ModelId,
         cfg: &TimingConfig,
     ) -> Result<Arc<ModelTimingReport>> {
-        let key = (scheme.clone(), model, *cfg);
-        let (cell, _) = self.slot(&key);
-        // Probe before entering the single-flight cell: a ready result is
-        // a plain hit; reaching `get_or_init` without running the closure
-        // means this lookup waited on another thread's in-flight replay
-        // and is counted separately as coalesced.
-        if let Some(result) = cell.get() {
-            if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return result.clone();
-        }
-        let mut ran = false;
-        let result = cell
-            .get_or_init(|| {
-                ran = true;
-                if let Some(found) = self.warm_lookup(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(found);
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                prepare_model_ctx(scheme, &model.build(), cfg.max_iterations, &self.solver)
-                    .map(|prepass| Arc::new(prepass.replay(cfg)))
-            })
-            .clone();
-        if ran && result.is_err() {
-            self.evict(&key, &cell);
-        }
-        if !ran && result.is_ok() {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        self.memo.get_or_try(&(scheme.clone(), model, *cfg), || {
+            self.replay(scheme, model, cfg)
+        })
     }
 
     /// Replays a whole config sweep over `(scheme, model)`: cached points
-    /// are served from the map or warm store, and the *uncached* points
-    /// share one ILP compile ([`prepare_model_ctx`]) and one pass of the
-    /// batched struct-of-arrays kernel instead of a full `simulate_scheme`
-    /// each. Point results are bit-identical to [`TimingCache::report`]
-    /// (same prepass, same finish pass) and are stored in the map like any
-    /// other lookup. Configs may mix `max_iterations`; points are grouped
-    /// per value.
+    /// are served from the map or warm store, and the points this call
+    /// claims share one ILP compile ([`prepare_model_ctx`]) and one pass
+    /// of the batched struct-of-arrays kernel per distinct
+    /// `max_iterations`, instead of a full `simulate_scheme` each. Point
+    /// results are bit-identical to [`TimingCache::report`] (same
+    /// prepass, same finish pass) and are stored in the map like any
+    /// other lookup.
     ///
     /// # Errors
     ///
@@ -190,146 +103,64 @@ impl TimingCache {
         model: ModelId,
         cfgs: &[TimingConfig],
     ) -> Result<Vec<Arc<ModelTimingReport>>> {
-        let mut results: Vec<Option<Arc<ModelTimingReport>>> = vec![None; cfgs.len()];
-        let mut cells: Vec<(Slot, bool)> = Vec::with_capacity(cfgs.len());
-        let mut ours: Vec<usize> = Vec::new();
-        for (i, cfg) in cfgs.iter().enumerate() {
-            let key = (scheme.clone(), model, *cfg);
-            let (cell, created) = self.slot(&key);
-            if created {
-                if let Some(found) = self.warm_lookup(&key) {
-                    // Warm entries publish immediately (another thread may
-                    // already be waiting on the cell).
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    let _ = cell.set(Ok(Arc::clone(&found)));
-                    results[i] = Some(found);
-                } else {
-                    ours.push(i);
-                }
-            }
-            cells.push((cell, created));
-        }
+        let key = |cfg: &TimingConfig| (scheme.clone(), model, *cfg);
+        let mut points: Vec<(TimingConfig, Claim<_, _>)> = cfgs
+            .iter()
+            .map(|cfg| (*cfg, self.memo.claim(&key(cfg))))
+            .collect();
 
-        // Batch-compute the points this call owns, one prepass per
-        // distinct max_iterations.
-        let mut pending = ours;
-        while let Some(&first) = pending.first() {
-            let max_iterations = cfgs[first].max_iterations;
-            let (group, rest): (Vec<usize>, Vec<usize>) = pending
-                .into_iter()
-                .partition(|&i| cfgs[i].max_iterations == max_iterations);
-            pending = rest;
+        // Batch-compute the claimed points, one prepass per distinct
+        // max_iterations, in order of first appearance.
+        while let Some(max_iterations) = points
+            .iter()
+            .find_map(|(cfg, claim)| matches!(claim, Claim::Owned(_)).then_some(cfg.max_iterations))
+        {
             let prepass =
                 match prepare_model_ctx(scheme, &model.build(), max_iterations, &self.solver) {
                     Ok(p) => p,
                     Err(e) => {
-                        // Errors are not cached: withdraw every cell this call
-                        // created (including warm-published ones would be
-                        // wrong — those are valid results — so only the
-                        // uninitialized ones go).
-                        for &i in group.iter().chain(&pending) {
-                            let key = (scheme.clone(), model, cfgs[i]);
-                            self.evict(&key, &cells[i].0);
+                        // Errors are not cached: withdraw every cell this
+                        // call still owns (warm-published ones are valid
+                        // results and stay).
+                        for (cfg, claim) in &points {
+                            if let Claim::Owned(owned) = claim {
+                                self.memo.release(&key(cfg), owned);
+                            }
                         }
                         return Err(e);
                     }
                 };
-            let group_cfgs: Vec<TimingConfig> = group.iter().map(|&i| cfgs[i]).collect();
-            let reports = prepass.sweep(&group_cfgs);
-            for (&i, report) in group.iter().zip(reports) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let report = Arc::new(report);
-                // If a racing `report()` call initialized our cell first,
-                // its (identical, deterministic) value wins.
-                let stored = cells[i]
-                    .0
-                    .get_or_init(|| Ok(report))
-                    .clone()
-                    // lint:allow(panic_freedom, cell holds our own Ok or a racing report()'s Ok; Err cells are evicted before publication)
-                    .expect("batched replay is infallible");
-                results[i] = Some(stored);
-            }
-        }
-
-        // Points owned by other in-flight calls (or already ready): wait
-        // on their cells; the fallback closure only runs if that owner
-        // errored out and evicted the cell before we read it.
-        for (i, cfg) in cfgs.iter().enumerate() {
-            if results[i].is_some() {
-                continue;
-            }
-            let (cell, created) = &cells[i];
-            // Same probe-then-wait split as `report`: ready cells are
-            // plain hits, waiting on another call's in-flight point is
-            // coalesced.
-            if !*created {
-                if let Some(result) = cell.get() {
-                    if result.is_ok() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    results[i] = Some(result.clone()?);
-                    continue;
+            let mut group: Vec<&mut (TimingConfig, Claim<_, _>)> = points
+                .iter_mut()
+                .filter(|(cfg, claim)| {
+                    matches!(claim, Claim::Owned(_)) && cfg.max_iterations == max_iterations
+                })
+                .collect();
+            let group_cfgs: Vec<TimingConfig> = group.iter().map(|(cfg, _)| *cfg).collect();
+            for ((_, claim), report) in group.iter_mut().zip(prepass.sweep(&group_cfgs)) {
+                if let Claim::Owned(owned) = std::mem::replace(claim, Claim::Taken) {
+                    *claim = Claim::Ready(self.memo.fill(owned, report));
                 }
             }
-            let mut ran = false;
-            let result = cell
-                .get_or_init(|| {
-                    ran = true;
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    prepare_model_ctx(scheme, &model.build(), cfg.max_iterations, &self.solver)
-                        .map(|prepass| Arc::new(prepass.replay(cfg)))
-                })
-                .clone();
-            if ran && result.is_err() {
-                let key = (scheme.clone(), model, *cfg);
-                self.evict(&key, cell);
-            }
-            if !ran && !*created && result.is_ok() {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            results[i] = Some(result?);
         }
 
-        // lint:allow(panic_freedom, every index is filled by one of the three loops above or the fn returned Err)
-        Ok(results.into_iter().map(|r| r.expect("filled")).collect())
-    }
-
-    /// Installs `entries` (content-hash keyed, from a persisted store) as
-    /// the warm tier; returns how many are now loaded. Existing warm
-    /// entries are replaced wholesale.
-    pub(crate) fn load_warm_entries(
-        &self,
-        entries: BTreeMap<u128, Arc<ModelTimingReport>>,
-    ) -> usize {
-        let mut warm = lock(&self.warm);
-        *warm = entries;
-        warm.len()
-    }
-
-    /// Every persistable entry: the warm tier plus all ready `Ok` cells
-    /// (which shadow warm entries of the same key, though by construction
-    /// they are identical). Key-ordered, so serializing it in iteration
-    /// order yields deterministic store bytes.
-    pub(crate) fn snapshot_entries(&self) -> BTreeMap<u128, Arc<ModelTimingReport>> {
-        let mut out = lock(&self.warm).clone();
-        let map = lock(&self.map);
-        for (key, cell) in map.iter() {
-            if let Some(Ok(report)) = cell.get() {
-                out.insert(content_hash(key), Arc::clone(report));
-            }
-        }
-        out
+        // Points another lookup claimed first: read (or wait on) them like
+        // any other lookup.
+        points
+            .into_iter()
+            .map(|(cfg, claim)| match claim {
+                Claim::Ready(report) => Ok(report),
+                Claim::Owned(_) | Claim::Taken => self
+                    .memo
+                    .get_or_try(&key(&cfg), || self.replay(scheme, model, &cfg)),
+            })
+            .collect()
     }
 
     /// Current counters.
     #[must_use]
-    pub fn stats(&self) -> TimingCacheStats {
-        TimingCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: lock(&self.map).len(),
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 }
 
@@ -379,17 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_equals_uncached() {
-        let cache = TimingCache::new();
-        let scheme = Scheme::pipe();
-        let cfg = TimingConfig::nominal();
-        let direct =
-            crate::validate::simulate_scheme(&scheme, &ModelId::AlexNet.build(), &cfg).expect("ok");
-        let cached = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
-        assert_eq!(*cached, direct);
-    }
-
-    #[test]
     fn concurrent_misses_replay_once() {
         // The single-flight cell: N threads racing on one cold key run
         // the replay exactly once and all share its Arc.
@@ -417,6 +237,17 @@ mod tests {
              result: {stats:?}"
         );
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn cached_equals_uncached() {
+        let cache = TimingCache::new();
+        let scheme = Scheme::pipe();
+        let cfg = TimingConfig::nominal();
+        let direct =
+            crate::validate::simulate_scheme(&scheme, &ModelId::AlexNet.build(), &cfg).expect("ok");
+        let cached = cache.report(&scheme, ModelId::AlexNet, &cfg).expect("ok");
+        assert_eq!(*cached, direct);
     }
 
     #[test]
@@ -460,5 +291,49 @@ mod tests {
             .sweep(&Scheme::tpu(), ModelId::AlexNet, &cfgs)
             .is_err());
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn sweep_over_a_partly_warm_cache_matches_pointwise() {
+        // Configs 1..=5 alternate between two `max_iterations` values. A
+        // store holds configs 1 and 3, config 2 is already in the map, so
+        // the sweep serves two warm points, waits on one ready point and
+        // batch-computes 4 and 5 in two groups.
+        let scheme = Scheme::smart();
+        let nominal = TimingConfig::nominal();
+        let cfgs: Vec<TimingConfig> = (1u32..=5)
+            .map(|d| TimingConfig {
+                max_iterations: if d % 2 == 0 { 8 } else { 6 },
+                ..nominal.with_depth(d)
+            })
+            .collect();
+        let dir =
+            std::env::temp_dir().join(format!("smart-timing-partly-warm-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let store = TimingCache::new();
+        for cfg in [&cfgs[0], &cfgs[2]] {
+            store.report(&scheme, ModelId::AlexNet, cfg).expect("ok");
+        }
+        crate::persist::save(&store, &dir).expect("saves");
+
+        let cache = TimingCache::new();
+        assert_eq!(crate::persist::load(&cache, &dir), 2);
+        std::fs::remove_dir_all(&dir).ok();
+        cache
+            .report(&scheme, ModelId::AlexNet, &cfgs[1])
+            .expect("ok");
+        let swept = cache.sweep(&scheme, ModelId::AlexNet, &cfgs).expect("ok");
+        for (cfg, got) in cfgs.iter().zip(&swept) {
+            let want = TimingCache::new()
+                .report(&scheme, ModelId::AlexNet, cfg)
+                .expect("ok");
+            assert_eq!(**got, *want, "{cfg:?}");
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.coalesced, stats.entries),
+            (3, 3, 0, 5),
+            "{stats:?}"
+        );
     }
 }

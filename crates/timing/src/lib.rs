@@ -61,7 +61,7 @@ pub mod trace;
 pub mod validate;
 
 pub use batch::{replay_sweep, replay_sweep_layer};
-pub use cache::{TimingCache, TimingCacheStats};
+pub use cache::TimingCache;
 pub use config::TimingConfig;
 pub use replay::{replay_layer, LayerInstance, LayerPrepass, RandomCosts};
 pub use report::{ModelTimingReport, TimingReport};

@@ -1,6 +1,7 @@
 //! Persistence of the [`TimingCache`] across processes: save/load of the
 //! content-hash-keyed report store through the
-//! [`smart_units::codec`] container.
+//! [`smart_units::codec`] container, with the store framing decided by
+//! [`smart_units::memo::Memo`].
 //!
 //! A sweep process that ran once has already paid the ILP compiles and
 //! replays for every point it touched; persisting the cache lets the next
@@ -23,131 +24,95 @@
 //!   on both independent 64-bit halves — negligible at cache scale).
 //!
 //! Scheme names inside reports are `&'static str`; on load each distinct
-//! name is interned once per process (a bounded [`Box::leak`]).
+//! name is interned once per process ([`smart_units::codec::intern`]).
 
 use crate::cache::TimingCache;
 use crate::report::{ModelTimingReport, TimingReport};
-use smart_units::codec::{ByteReader, ByteWriter, Store};
-use smart_units::sync::lock;
+use smart_units::codec::{intern, ByteReader, ByteWriter, Persist, StoreFile};
 use smart_units::Frequency;
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Store tag of the timing-cache file.
-const TAG: &str = "smart-timing-cache";
-
-/// Bump when the serialized report layout changes (older files then fall
-/// back to cold).
-const VERSION: u32 = 1;
 
 /// File name of the timing store inside a `--cache-dir`.
 pub const FILE_NAME: &str = "timing-cache.bin";
 
-/// Interns a scheme name: reports carry `&'static str` names, so each
-/// distinct name loaded from a store leaks exactly once per process (a
-/// handful of short strings).
-fn intern(name: String) -> &'static str {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut names = lock(NAMES.get_or_init(|| Mutex::new(Vec::new())));
-    if let Some(found) = names.iter().find(|n| **n == name) {
-        return found;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    names.push(leaked);
-    leaked
-}
+/// The timing store; bump `version` when the serialized report layout
+/// changes (older files then fall back to cold).
+const STORE: StoreFile = StoreFile {
+    name: FILE_NAME,
+    tag: "smart-timing-cache",
+    version: 1,
+};
 
-fn write_layer(w: &mut ByteWriter, l: &TimingReport) {
-    w.str(&l.name);
-    w.u64(l.total_cycles);
-    w.u64(l.compute_cycles);
-    w.u64(l.stream_stall_cycles);
-    for &x in &l.exposed_stall_cycles {
-        w.u64(x);
+impl Persist for TimingReport {
+    fn write(&self, w: &mut ByteWriter) {
+        w.str(&self.name);
+        w.u64(self.total_cycles);
+        w.u64(self.compute_cycles);
+        w.u64(self.stream_stall_cycles);
+        for &x in &self.exposed_stall_cycles {
+            w.u64(x);
+        }
+        w.u64(self.prefetch_work_cycles);
+        w.u64(self.prefetch_stall_cycles);
+        w.u64(self.random_busy_cycles);
     }
-    w.u64(l.prefetch_work_cycles);
-    w.u64(l.prefetch_stall_cycles);
-    w.u64(l.random_busy_cycles);
-}
 
-fn read_layer(r: &mut ByteReader<'_>) -> Option<TimingReport> {
-    let name = r.str()?;
-    let total_cycles = r.u64()?;
-    let compute_cycles = r.u64()?;
-    let stream_stall_cycles = r.u64()?;
-    let mut exposed_stall_cycles = [0u64; 4];
-    for x in &mut exposed_stall_cycles {
-        *x = r.u64()?;
-    }
-    Some(TimingReport {
-        name,
-        total_cycles,
-        compute_cycles,
-        stream_stall_cycles,
-        exposed_stall_cycles,
-        prefetch_work_cycles: r.u64()?,
-        prefetch_stall_cycles: r.u64()?,
-        random_busy_cycles: r.u64()?,
-    })
-}
-
-fn write_report(w: &mut ByteWriter, report: &ModelTimingReport) {
-    w.str(report.scheme);
-    w.str(&report.model);
-    w.f64(report.clock.as_si()); // raw SI bits: exact round trip
-    w.u64(report.layers.len() as u64);
-    for l in &report.layers {
-        write_layer(w, l);
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        let name = r.str()?;
+        let total_cycles = r.u64()?;
+        let compute_cycles = r.u64()?;
+        let stream_stall_cycles = r.u64()?;
+        let mut exposed_stall_cycles = [0u64; 4];
+        for x in &mut exposed_stall_cycles {
+            *x = r.u64()?;
+        }
+        Some(TimingReport {
+            name,
+            total_cycles,
+            compute_cycles,
+            stream_stall_cycles,
+            exposed_stall_cycles,
+            prefetch_work_cycles: r.u64()?,
+            prefetch_stall_cycles: r.u64()?,
+            random_busy_cycles: r.u64()?,
+        })
     }
 }
 
-fn read_report(r: &mut ByteReader<'_>) -> Option<ModelTimingReport> {
-    let scheme = intern(r.str()?);
-    let model = r.str()?;
-    let clock = Frequency::from_si(r.f64()?);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut layers = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        layers.push(read_layer(r)?);
+impl Persist for ModelTimingReport {
+    fn write(&self, w: &mut ByteWriter) {
+        w.str(self.scheme);
+        w.str(&self.model);
+        w.f64(self.clock.as_si()); // raw SI bits: exact round trip
+        w.u64(self.layers.len() as u64);
+        for l in &self.layers {
+            l.write(w);
+        }
     }
-    Some(ModelTimingReport {
-        scheme,
-        model,
-        clock,
-        layers,
-    })
+
+    fn read(r: &mut ByteReader<'_>) -> Option<Self> {
+        let scheme = intern(r.str()?);
+        let model = r.str()?;
+        let clock = Frequency::from_si(r.f64()?);
+        let n = usize::try_from(r.u64()?).ok()?;
+        let mut layers = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            layers.push(TimingReport::read(r)?);
+        }
+        Some(ModelTimingReport {
+            scheme,
+            model,
+            clock,
+            layers,
+        })
+    }
 }
 
 /// Serializes every persistable entry of `cache` into a sealed store
 /// payload.
 #[must_use]
 pub fn to_bytes(cache: &TimingCache) -> Vec<u8> {
-    // Key-ordered map: iteration order is the deterministic file order.
-    let entries = cache.snapshot_entries();
-    let mut w = ByteWriter::new();
-    w.u64(entries.len() as u64);
-    for (key, report) in &entries {
-        w.u128(*key);
-        write_report(&mut w, report);
-    }
-    w.into_bytes()
-}
-
-/// Parses a store payload back into a warm-entry map; `None` on any
-/// truncation or malformed field (the caller falls back to cold).
-fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<ModelTimingReport>>> {
-    let mut r = ByteReader::new(payload);
-    let n = usize::try_from(r.u64()?).ok()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let key = r.u128()?;
-        entries.insert(key, Arc::new(read_report(&mut r)?));
-    }
-    if !r.is_empty() {
-        return None;
-    }
-    Some(entries)
+    cache.memo.to_bytes()
 }
 
 /// Saves `cache` to `dir/`[`FILE_NAME`] (atomically).
@@ -157,8 +122,7 @@ fn from_bytes(payload: &[u8]) -> Option<BTreeMap<u128, Arc<ModelTimingReport>>> 
 /// [`smart_units::SmartError::Store`] on any underlying filesystem
 /// failure.
 pub fn save(cache: &TimingCache, dir: &Path) -> smart_units::Result<()> {
-    Store::write_file(&dir.join(FILE_NAME), TAG, VERSION, to_bytes(cache))?;
-    Ok(())
+    cache.memo.save(dir, &STORE)
 }
 
 /// Loads `dir/`[`FILE_NAME`] into `cache`'s warm tier; returns how many
@@ -166,13 +130,7 @@ pub fn save(cache: &TimingCache, dir: &Path) -> smart_units::Result<()> {
 /// version-mismatched file loads zero entries — the run simply starts
 /// cold.
 pub fn load(cache: &TimingCache, dir: &Path) -> usize {
-    let Some(payload) = Store::read_file(&dir.join(FILE_NAME), TAG, VERSION) else {
-        return 0;
-    };
-    let Some(entries) = from_bytes(&payload) else {
-        return 0;
-    };
-    cache.load_warm_entries(entries)
+    cache.memo.load(dir, &STORE)
 }
 
 #[cfg(test)]

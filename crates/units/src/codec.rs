@@ -52,9 +52,11 @@
 //! assert!(Store::open(&bad, "demo", 1).is_none());
 //! ```
 
+use crate::sync::lock;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::sync::{Mutex, OnceLock};
 
 /// Magic prefix of every store file.
 const MAGIC: &[u8; 4] = b"SMRT";
@@ -276,36 +278,72 @@ impl Store {
         }
         Some(payload)
     }
+}
 
-    /// Reads and opens a store file; `None` on any I/O error or container
-    /// mismatch (the fall-back-to-cold path).
-    #[must_use]
-    pub fn read_file(path: &Path, tag: &str, version: u32) -> Option<Vec<u8>> {
-        let bytes = std::fs::read(path).ok()?;
-        Some(Self::open(&bytes, tag, version)?.to_vec())
-    }
+/// A value with a store encoding: [`Persist::write`] appends it to a
+/// payload and [`Persist::read`] parses it back, `None` on any truncated
+/// or malformed field (the caller then starts cold).
+pub trait Persist: Sized {
+    /// Appends `self` to `w`.
+    fn write(&self, w: &mut ByteWriter);
+    /// Reads one value written by [`Persist::write`].
+    fn read(r: &mut ByteReader<'_>) -> Option<Self>;
+}
 
-    /// Seals and writes a store file atomically (write to a sibling temp
-    /// file, then rename), so a crashed or concurrent run leaves either
-    /// the old file or the new one — never a torn store. A torn leftover
-    /// temp file is harmless garbage.
+/// One persisted store inside a `--cache-dir`: its file name, its
+/// [`Store`] tag, and the app version to bump when the payload layout
+/// changes (older files then fall back to cold).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreFile {
+    /// File name inside the cache directory.
+    pub name: &'static str,
+    /// Store tag sealed into the header.
+    pub tag: &'static str,
+    /// App-level payload version.
+    pub version: u32,
+}
+
+impl StoreFile {
+    /// Seals `payload` into `dir/name` atomically (write to a sibling
+    /// temp file, then rename), so a crashed or concurrent run leaves
+    /// either the old file or the new one — never a torn store. A torn
+    /// leftover temp file is harmless garbage.
     ///
     /// # Errors
     ///
-    /// Any underlying filesystem error (missing directory, permissions).
-    pub fn write_file(
-        path: &Path,
-        tag: &str,
-        version: u32,
-        payload: Vec<u8>,
-    ) -> std::io::Result<()> {
-        let sealed = Self::seal(tag, version, payload);
+    /// [`crate::SmartError::Store`] on any underlying filesystem failure
+    /// (missing directory, permissions).
+    pub fn write(&self, dir: &Path, payload: Vec<u8>) -> crate::Result<()> {
+        let path = dir.join(self.name);
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, sealed)?;
-        std::fs::rename(&tmp, path)
+        std::fs::write(&tmp, Store::seal(self.tag, self.version, payload))?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
+
+    /// The payload of `dir/name`; `None` on any I/O error or container
+    /// mismatch — missing, truncated, corrupted, or from another tag or
+    /// version (the fall-back-to-cold path).
+    #[must_use]
+    pub fn read(&self, dir: &Path) -> Option<Vec<u8>> {
+        let bytes = std::fs::read(dir.join(self.name)).ok()?;
+        Some(Store::open(&bytes, self.tag, self.version)?.to_vec())
+    }
+}
+
+/// Interns a name loaded from a store: reports carry `&'static str`
+/// scheme names, so each distinct name leaks exactly once per process (a
+/// handful of short strings).
+pub fn intern(name: String) -> &'static str {
+    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
+    let mut names = lock(NAMES.get_or_init(|| Mutex::new(Vec::new())));
+    if let Some(found) = names.iter().find(|n| **n == name) {
+        return found;
+    }
+    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    names.push(leaked);
+    leaked
 }
 
 #[cfg(test)]
@@ -401,18 +439,27 @@ mod tests {
     }
 
     #[test]
+    fn intern_leaks_each_name_once() {
+        let a = intern("SMART".to_owned());
+        let b = intern("SMART".to_owned());
+        assert!(std::ptr::eq(a, b));
+        assert_ne!(intern("TPU".to_owned()), a);
+    }
+
+    #[test]
     fn file_round_trip_and_missing_file() {
         let dir = std::env::temp_dir().join(format!("smart-codec-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("demo.bin");
-        assert!(Store::read_file(&path, "demo", 1).is_none(), "missing");
-        Store::write_file(&path, "demo", 1, sample_payload()).expect("writes");
-        assert_eq!(
-            Store::read_file(&path, "demo", 1),
-            Some(sample_payload()),
-            "round trip"
-        );
-        assert!(Store::read_file(&path, "demo", 2).is_none(), "version gate");
+        let file = StoreFile {
+            name: "demo.bin",
+            tag: "demo",
+            version: 1,
+        };
+        assert!(file.read(&dir).is_none(), "missing");
+        file.write(&dir, sample_payload()).expect("writes");
+        assert_eq!(file.read(&dir), Some(sample_payload()), "round trip");
+        let bumped = StoreFile { version: 2, ..file };
+        assert!(bumped.read(&dir).is_none(), "version gate");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! (See the README for the exact per-crate dependency edges.)
 //!
-//! Three things live here:
+//! Six modules live here:
 //!
 //! * [`quantity`] — strongly-typed physical quantities ([`Time`],
 //!   [`Energy`], [`Power`], [`Length`], [`Area`], [`Frequency`]), stored in
@@ -20,6 +20,8 @@
 //!   engine, the allocation compiler) funnel into,
 //! * [`codec`] — the hand-rolled versioned binary store format the
 //!   persistent warm-start caches serialize through,
+//! * [`memo`] — the single-flight memo table with a persistable warm tier
+//!   that the evaluation, circuit and timing caches wrap,
 //! * [`rng`] — hand-rolled deterministic pseudo-random generation
 //!   (splitmix64 seeding + xorshift128+) for the serving-workload
 //!   generators,
@@ -41,6 +43,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod memo;
 pub mod quantity;
 pub mod rng;
 pub mod sync;

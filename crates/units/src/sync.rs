@@ -1,6 +1,7 @@
 //! Poison-proof locking for the workspace's memoization caches.
 //!
-//! Every cache in the stack (`EvalCache`, `CircuitCache`, `TimingCache`,
+//! Every cache in the stack (the [`crate::memo::Memo`] behind
+//! `EvalCache`, `CircuitCache` and `TimingCache`, and the ILP
 //! `SolverContext`) guards a plain-data map with a [`Mutex`]. The maps
 //! hold *completed* results only — a writer inserts a finished value or
 //! nothing — so a thread that panics while holding the lock cannot leave
