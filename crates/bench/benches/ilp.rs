@@ -67,6 +67,21 @@ fn bench_ilp_compile_layer(c: &mut Criterion) {
     });
 }
 
+/// A repeat compile of the same layer on a warm context: the formulation
+/// digest finds the memoized solution, so this is the per-compile fixed
+/// cost (lifespans, greedy seed, digest) with no problem built or solved.
+fn bench_ilp_compile_memo_hit(c: &mut Criterion) {
+    let layer = ConvLayer::conv("conv3", 13, 13, 256, 384, 3, 1, 1);
+    let mapping = LayerMapping::map(&layer, ArrayShape::new(64, 256), 1);
+    let dag = LayerDag::build(&mapping, 6);
+    let params = FormulationParams::smart_default();
+    let solver = SolverContext::new();
+    let _ = compile_layer_ctx(&dag, &params, &solver); // warm
+    c.bench_function("ilp_compile_conv3_memo_hit", |b| {
+        b.iter(|| compile_layer_ctx(black_box(&dag), black_box(&params), &solver))
+    });
+}
+
 /// The compiler-side capacity sweep through one shared `SolverContext`:
 /// after the first point, every root relaxation warm-starts from a stored
 /// basis (rhs-only changes).
@@ -466,6 +481,7 @@ criterion_group!(
     benches,
     bench_ilp_ablation,
     bench_ilp_compile_layer,
+    bench_ilp_compile_memo_hit,
     bench_ilp_warm_sweep,
     bench_eval_cache_hit,
     bench_eval_cache_miss,

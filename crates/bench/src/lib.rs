@@ -202,6 +202,11 @@ impl ExperimentContext {
         reg.add("ilp.pivots", solver.pivots);
         reg.add("ilp.refactorizations", solver.refactorizations);
         reg.add("ilp.nodes", solver.nodes);
+        reg.add("ilp.formulation_hits", solver.formulation_hits);
+        reg.add("ilp.nodes_branched", solver.nodes_branched);
+        reg.add("ilp.nodes_integral", solver.nodes_integral);
+        reg.add("ilp.nodes_infeasible", solver.nodes_infeasible);
+        reg.add("ilp.nodes_pruned", solver.nodes_pruned);
         reg.set_gauge("ilp.stored_bases", solver.stored_bases as u64);
         reg.set_gauge("ilp.stored_solutions", solver.stored_solutions as u64);
         let mut snap = reg.snapshot();

@@ -92,7 +92,7 @@ pub fn allocate(dag: &LayerDag, params: &FormulationParams, lifespans: Vec<Lifes
     }
 }
 
-fn class_index(class: DataClass) -> usize {
+pub(crate) fn class_index(class: DataClass) -> usize {
     match class {
         DataClass::Weight => 0,
         DataClass::Input => 1,

@@ -23,6 +23,17 @@
 //! warm start only shortcuts the root relaxation, while the memo
 //! shortcuts the whole tree.
 //!
+//! In front of the solution memo sits a **formulation memo**: a caller
+//! that builds its [`Problem`] from a small set of inputs (the compiler's
+//! layer objects, lifespans and cost parameters) hashes those inputs into
+//! a 128-bit *formulation digest* and solves through
+//! [`crate::Solver::try_solve_formulation`]. The context maps each digest
+//! to the solution key its problem hashed to, so a repeat compile looks
+//! the solution up without building or hashing the problem at all. The
+//! map is a pure function of its inputs: forks inherit it, `absorb`
+//! merges it, and it is never persisted (a warm `--cache-dir` run starts
+//! with an empty map and fills it on its first compile of each layer).
+//!
 //! The context is `Sync`: one instance can be shared across the experiment
 //! runner's worker threads (the map is mutex-guarded, the counters are
 //! atomic), matching how `smart_report::parallel_map` fans sweep points
@@ -68,6 +79,31 @@ pub struct SolverContextStats {
     pub refactorizations: u64,
     /// Branch & bound nodes explored across every solve.
     pub nodes: u64,
+    /// Solves answered from the formulation memo: the problem was never
+    /// built (each also counts as a [`SolverContextStats::solution_hits`]).
+    pub formulation_hits: u64,
+    /// Nodes whose relaxation was fractional and that branched.
+    pub nodes_branched: u64,
+    /// Nodes whose relaxation was integral (a candidate incumbent).
+    pub nodes_integral: u64,
+    /// Nodes whose relaxation was infeasible.
+    pub nodes_infeasible: u64,
+    /// Nodes pruned by bound against the incumbent: popped nodes dropped
+    /// before their LP (not counted in [`SolverContextStats::nodes`]) and
+    /// explored nodes whose LP bound could not beat the incumbent.
+    pub nodes_pruned: u64,
+}
+
+/// One finished search's work, folded into a [`SolverContext`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SearchWork {
+    pub pivots: u64,
+    pub refactorizations: u64,
+    pub nodes: u64,
+    pub branched: u64,
+    pub integral: u64,
+    pub infeasible: u64,
+    pub pruned: u64,
 }
 
 /// Shared warm-start state threaded through
@@ -79,6 +115,8 @@ pub struct SolverContext {
     // order, so the bytes are deterministic without a sort pass.
     bases: Mutex<BTreeMap<u64, Arc<Basis>>>,
     solutions: Mutex<BTreeMap<u128, Arc<MipSolution>>>,
+    /// Formulation digest -> solution key (never persisted).
+    formulations: Mutex<BTreeMap<u128, u128>>,
     warm_attempts: AtomicU64,
     warm_hits: AtomicU64,
     cold_solves: AtomicU64,
@@ -86,6 +124,11 @@ pub struct SolverContext {
     pivots: AtomicU64,
     refactorizations: AtomicU64,
     nodes: AtomicU64,
+    formulation_hits: AtomicU64,
+    nodes_branched: AtomicU64,
+    nodes_integral: AtomicU64,
+    nodes_infeasible: AtomicU64,
+    nodes_pruned: AtomicU64,
     /// Span sink for per-node solver instrumentation; disabled (free)
     /// unless a driver installs an enabled tracer.
     tracer: Mutex<Tracer>,
@@ -122,6 +165,11 @@ impl SolverContext {
             pivots: self.pivots.load(Ordering::Relaxed),
             refactorizations: self.refactorizations.load(Ordering::Relaxed),
             nodes: self.nodes.load(Ordering::Relaxed),
+            formulation_hits: self.formulation_hits.load(Ordering::Relaxed),
+            nodes_branched: self.nodes_branched.load(Ordering::Relaxed),
+            nodes_integral: self.nodes_integral.load(Ordering::Relaxed),
+            nodes_infeasible: self.nodes_infeasible.load(Ordering::Relaxed),
+            nodes_pruned: self.nodes_pruned.load(Ordering::Relaxed),
         }
     }
 
@@ -139,14 +187,15 @@ impl SolverContext {
     }
 
     /// A child context for one independent chain of solves: it starts
-    /// with this context's stored bases, memoized solutions and tracer,
-    /// and with zeroed counters. Its solves never touch this context
-    /// until [`SolverContext::absorb`] folds them back.
+    /// with this context's stored bases, memoized solutions, formulation
+    /// digests and tracer, and with zeroed counters. Its solves never
+    /// touch this context until [`SolverContext::absorb`] folds them back.
     #[must_use]
     pub fn fork(&self) -> Self {
         Self {
             bases: Mutex::new(lock(&self.bases).clone()),
             solutions: Mutex::new(lock(&self.solutions).clone()),
+            formulations: Mutex::new(lock(&self.formulations).clone()),
             tracer: Mutex::new(self.tracer()),
             fresh: Some(Mutex::default()),
             ..Self::default()
@@ -156,9 +205,10 @@ impl SolverContext {
     /// Folds a child back in: the bases and solutions the child stored
     /// since its [`SolverContext::fork`] (every entry, if `child` is not a
     /// fork) overwrite this context's entries under the same keys, and the
-    /// child's counters add to this context's. Absorbing several children
-    /// in a fixed order yields the same stored bytes whatever order they
-    /// finished in.
+    /// child's counters add to this context's. The child's formulation
+    /// digests merge in (a digest always maps to the same key). Absorbing
+    /// several children in a fixed order yields the same stored bytes
+    /// whatever order they finished in.
     pub fn absorb(&self, child: Self) {
         let fresh = child.fresh.as_ref().map(lock);
         for (&fp, basis) in lock(&child.bases).iter() {
@@ -171,6 +221,7 @@ impl SolverContext {
                 self.solution_store(key, Arc::clone(solution));
             }
         }
+        lock(&self.formulations).extend(lock(&child.formulations).iter());
         let s = child.stats();
         self.warm_attempts
             .fetch_add(s.warm_attempts, Ordering::Relaxed);
@@ -178,15 +229,32 @@ impl SolverContext {
         self.cold_solves.fetch_add(s.cold_solves, Ordering::Relaxed);
         self.solution_hits
             .fetch_add(s.solution_hits, Ordering::Relaxed);
-        self.note_search(s.pivots, s.refactorizations, s.nodes);
+        self.formulation_hits
+            .fetch_add(s.formulation_hits, Ordering::Relaxed);
+        self.note_search(&SearchWork {
+            pivots: s.pivots,
+            refactorizations: s.refactorizations,
+            nodes: s.nodes,
+            branched: s.nodes_branched,
+            integral: s.nodes_integral,
+            infeasible: s.nodes_infeasible,
+            pruned: s.nodes_pruned,
+        });
     }
 
     /// Folds one finished search's work counters into the context.
-    pub(crate) fn note_search(&self, pivots: u64, refactorizations: u64, nodes: u64) {
-        self.pivots.fetch_add(pivots, Ordering::Relaxed);
-        self.refactorizations
-            .fetch_add(refactorizations, Ordering::Relaxed);
-        self.nodes.fetch_add(nodes, Ordering::Relaxed);
+    pub(crate) fn note_search(&self, w: &SearchWork) {
+        for (counter, n) in [
+            (&self.pivots, w.pivots),
+            (&self.refactorizations, w.refactorizations),
+            (&self.nodes, w.nodes),
+            (&self.nodes_branched, w.branched),
+            (&self.nodes_integral, w.integral),
+            (&self.nodes_infeasible, w.infeasible),
+            (&self.nodes_pruned, w.pruned),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn lookup(&self, fp: u64) -> Option<Arc<Basis>> {
@@ -218,6 +286,19 @@ impl SolverContext {
             self.solution_hits.fetch_add(1, Ordering::Relaxed);
         }
         found
+    }
+
+    /// The solution key a formulation digest resolved to, if known.
+    pub(crate) fn formulation_key(&self, digest: u128) -> Option<u128> {
+        lock(&self.formulations).get(&digest).copied()
+    }
+
+    pub(crate) fn formulation_store(&self, digest: u128, key: u128) {
+        lock(&self.formulations).insert(digest, key);
+    }
+
+    pub(crate) fn note_formulation_hit(&self) {
+        self.formulation_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn solution_store(&self, key: u128, solution: Arc<MipSolution>) {

@@ -368,8 +368,12 @@ pub(crate) struct Lp<'a> {
     /// The workspace holds a clean optimal basis (no artificials basic)
     /// from the previous solve, usable via [`Warm::Live`].
     live_ok: bool,
+    /// `y = c_B^T B^-1` for the installed basis and current-phase
+    /// objective while `y_valid` holds; a pivot, a refactorization or an
+    /// objective change clears `y_valid` (see [`Lp::refresh_y`]).
+    y: Vec<f64>,
+    y_valid: bool,
     /// Scratch buffers (avoid per-iteration allocation).
-    scratch_y: Vec<f64>,
     scratch_w: Vec<f64>,
     scratch_d: Vec<f64>,
     scratch_a: Vec<f64>,
@@ -383,9 +387,16 @@ pub(crate) struct Lp<'a> {
     updated_rows: Vec<u64>,
     /// Refactorization workspace (allocated on first use).
     gauss: GaussJordan,
-    /// Bounds of the previous solve (for incremental rebinds on dives).
-    prev_lo: Vec<f64>,
-    prev_up: Vec<f64>,
+    /// Columns whose bounds differ from the form's defaults (the pins of
+    /// the last solve).
+    pinned: Vec<usize>,
+    /// `(column, old lower, old upper)` for every column whose bounds the
+    /// last `solve_pinned` may have changed, ascending. While
+    /// `changes_known` holds, every other column keeps the bounds the
+    /// installed basic values were computed under (incremental rebinds on
+    /// live dives).
+    changed: Vec<(usize, f64, f64)>,
+    changes_known: bool,
     /// Dense mirror of the inverse that checks every kernel bit for bit.
     #[cfg(test)]
     audit: Option<tests::Audit>,
@@ -411,7 +422,8 @@ impl<'a> Lp<'a> {
             total_pivots: 0,
             total_refactors: 0,
             live_ok: false,
-            scratch_y: vec![0.0; m],
+            y: vec![0.0; m],
+            y_valid: false,
             scratch_w: vec![0.0; m],
             scratch_d: Vec::new(),
             scratch_a: Vec::new(),
@@ -421,8 +433,9 @@ impl<'a> Lp<'a> {
             pivot_cols: vec![0; m.div_ceil(64)],
             updated_rows: vec![0; m.div_ceil(64)],
             gauss: GaussJordan::default(),
-            prev_lo: Vec::new(),
-            prev_up: Vec::new(),
+            pinned: Vec::new(),
+            changed: Vec::new(),
+            changes_known: false,
             #[cfg(test)]
             audit: None,
         };
@@ -440,8 +453,10 @@ impl<'a> Lp<'a> {
     /// Solves with compact pins `(variable, value)` applied over the
     /// form's default bounds — the branch & bound node path. `base` holds
     /// search-wide fixings (reduced-cost fixing), `pins` the node's
-    /// branching decisions. Bound vectors are filled in place; nothing is
-    /// allocated for the bounds.
+    /// branching decisions. Only the columns pinned by the previous solve
+    /// or by this one are touched: the former return to their defaults,
+    /// the latter take their pins, and each one's old bounds are kept for
+    /// the incremental rebind of a live dive.
     pub(crate) fn solve_pinned(
         &mut self,
         p: &Problem,
@@ -452,17 +467,28 @@ impl<'a> Lp<'a> {
         want_basis: bool,
     ) -> SolveOutcome {
         self.drop_artificials();
-        std::mem::swap(&mut self.lo, &mut self.prev_lo);
-        std::mem::swap(&mut self.up, &mut self.prev_up);
-        self.lo.resize(self.form.n_total, 0.0);
-        self.up.resize(self.form.n_total, 0.0);
-        self.lo.copy_from_slice(&self.form.lower);
-        self.up.copy_from_slice(&self.form.upper);
-        for &(i, v) in base.iter().chain(pins) {
-            self.lo[i] = v;
-            self.up[i] = v;
+        #[cfg(test)]
+        self.audit_bounds(true);
+        self.changed.clear();
+        for &j in &self.pinned {
+            self.changed.push((j, self.lo[j], self.up[j]));
+            self.lo[j] = self.form.lower[j];
+            self.up[j] = self.form.upper[j];
         }
-        self.refresh_tols();
+        self.pinned.clear();
+        for &(j, v) in base.iter().chain(pins) {
+            self.changed.push((j, self.lo[j], self.up[j]));
+            self.lo[j] = v;
+            self.up[j] = v;
+            self.pinned.push(j);
+        }
+        // The first record of a column holds its bounds before this call.
+        self.changed.sort_by_key(|c| c.0);
+        self.changed.dedup_by_key(|c| c.0);
+        for &(j, _, _) in &self.changed {
+            self.tol[j] = bound_tol(self.lo[j], self.up[j]);
+        }
+        self.changes_known = true;
         self.solve_prepared(p, warm, trace, want_basis)
     }
 
@@ -483,15 +509,23 @@ impl<'a> Lp<'a> {
         want_basis: bool,
     ) -> SolveOutcome {
         self.drop_artificials();
+        #[cfg(test)]
+        self.audit_bounds(false);
         self.lo = lo;
         self.up = up;
         self.lo.truncate(self.form.n_total);
         self.up.truncate(self.form.n_total);
-        // This entry point bypasses the previous-bounds bookkeeping of
-        // `solve_pinned`; clear it so a later live rebind recomputes basic
-        // values from scratch instead of from stale deltas.
-        self.prev_lo.clear();
-        self.prev_up.clear();
+        // Arbitrary bounds: a live rebind recomputes basic values from
+        // scratch, and the next `solve_pinned` restores every column that
+        // differs from its default.
+        self.changes_known = false;
+        self.pinned.clear();
+        let defaults = self.form.lower.iter().zip(&self.form.upper);
+        for (j, (lo, up)) in defaults.enumerate() {
+            if self.lo[j].to_bits() != lo.to_bits() || self.up[j].to_bits() != up.to_bits() {
+                self.pinned.push(j);
+            }
+        }
         self.refresh_tols();
         self.solve_prepared(p, warm, trace, want_basis)
     }
@@ -508,6 +542,8 @@ impl<'a> Lp<'a> {
     ) -> SolveOutcome {
         let (pivots_before, refactors_before) = (self.total_pivots, self.total_refactors);
         let outcome = self.solve_prepared_inner(p, warm, trace, want_basis);
+        #[cfg(test)]
+        self.audit_y();
         trace.pivots = self.total_pivots - pivots_before;
         trace.refactorizations = self.total_refactors - refactors_before;
         outcome
@@ -546,6 +582,9 @@ impl<'a> Lp<'a> {
     /// Removes any artificial columns left over from a previous cold
     /// solve.
     fn drop_artificials(&mut self) {
+        if !self.art.is_empty() {
+            self.y_valid = false;
+        }
         self.art.clear();
         self.lo.truncate(self.form.n_total);
         self.up.truncate(self.form.n_total);
@@ -595,6 +634,15 @@ impl<'a> Lp<'a> {
                     y[r] += c * self.binv[i * m + r];
                 }
             }
+        }
+    }
+
+    /// Makes `y` (the workspace's `y`, taken out by the caller) hold
+    /// `c_B^T B^-1`, recomputing it only when `y_valid` was cleared.
+    fn refresh_y(&mut self, y: &mut [f64]) {
+        if !self.y_valid {
+            self.compute_y(y);
+            self.y_valid = true;
         }
     }
 
@@ -685,6 +733,7 @@ impl<'a> Lp<'a> {
     /// leaving the installed inverse as it was.
     fn invert_basis(&mut self) -> bool {
         let m = self.form.m;
+        self.y_valid = false;
         if m == 0 {
             return true;
         }
@@ -728,6 +777,7 @@ impl<'a> Lp<'a> {
     /// written (the updated rows x the pivot row's nonzero columns).
     fn pivot_update(&mut self, r: usize, w: &[f64]) {
         let m = self.form.m;
+        self.y_valid = false;
         #[cfg(test)]
         if let Some(audit) = &mut self.audit {
             audit.pivot_update(m, r, w);
@@ -767,13 +817,13 @@ impl<'a> Lp<'a> {
     /// Bounded-variable primal simplex on the current-phase objective.
     /// Requires a primal-feasible starting basis.
     fn primal(&mut self) -> PrimalEnd {
-        let mut y = std::mem::take(&mut self.scratch_y);
+        let mut y = std::mem::take(&mut self.y);
         let mut w = std::mem::take(&mut self.scratch_w);
         let mut bland = false;
         let mut stalls = 0usize;
         for _ in 0..MAX_ITERS {
             self.maybe_refactor();
-            self.compute_y(&mut y);
+            self.refresh_y(&mut y);
 
             // Entering column: Dantzig (largest violation), Bland on stall.
             let mut entering: Option<(usize, f64)> = None;
@@ -799,7 +849,7 @@ impl<'a> Lp<'a> {
                 }
             }
             let Some((q, _)) = entering else {
-                self.scratch_y = y;
+                self.y = y;
                 self.scratch_w = w;
                 return PrimalEnd::Optimal;
             };
@@ -843,7 +893,7 @@ impl<'a> Lp<'a> {
                 }
             }
             if t_best.is_infinite() {
-                self.scratch_y = y;
+                self.y = y;
                 self.scratch_w = w;
                 return PrimalEnd::Unbounded;
             }
@@ -879,7 +929,7 @@ impl<'a> Lp<'a> {
                 }
             }
         }
-        self.scratch_y = y;
+        self.y = y;
         self.scratch_w = w;
         PrimalEnd::IterLimit
     }
@@ -906,13 +956,13 @@ impl<'a> Lp<'a> {
     /// preserving dual feasibility (the warm-start reoptimizer after bound
     /// or rhs changes).
     fn dual(&mut self) -> DualEnd {
-        let mut y = std::mem::take(&mut self.scratch_y);
+        let mut y = std::mem::take(&mut self.y);
         let mut w = std::mem::take(&mut self.scratch_w);
         let mut d = std::mem::take(&mut self.scratch_d);
         let mut alphas = std::mem::take(&mut self.scratch_a);
         let mut touched = std::mem::take(&mut self.touched);
         let end = self.dual_loop(&mut y, &mut w, &mut d, &mut alphas, &mut touched);
-        self.scratch_y = y;
+        self.y = y;
         self.scratch_w = w;
         self.scratch_d = d;
         self.scratch_a = alphas;
@@ -938,7 +988,7 @@ impl<'a> Lp<'a> {
         alphas.resize(ncols, 0.0);
         touched.clear();
         touched.resize(ncols.div_ceil(64), 0);
-        self.compute_y(y);
+        self.refresh_y(y);
         for (j, dj) in d.iter_mut().enumerate() {
             *dj = if self.status[j] == Status::Basic {
                 0.0
@@ -1043,13 +1093,12 @@ impl<'a> Lp<'a> {
         DualEnd::Stalled
     }
 
-    fn dual_feasible(&self) -> bool {
-        let m = self.form.m;
-        let mut y = vec![0.0; m];
-        self.compute_y(&mut y);
-        for j in 0..self.ncols() {
+    fn dual_feasible(&mut self) -> bool {
+        let mut y = std::mem::take(&mut self.y);
+        self.refresh_y(&mut y);
+        let feasible = (0..self.ncols()).all(|j| {
             if self.status[j] == Status::Basic || !self.movable(j) {
-                continue;
+                return true;
             }
             let d = self.reduced_cost(j, &y);
             let bad = match self.status[j] {
@@ -1058,11 +1107,10 @@ impl<'a> Lp<'a> {
                 // lint:allow(panic_freedom, this loop iterates nonbasic columns only)
                 Status::Basic => unreachable!(),
             };
-            if bad {
-                return false;
-            }
-        }
-        true
+            !bad
+        });
+        self.y = y;
+        feasible
     }
 
     fn primal_feasible(&self) -> bool {
@@ -1072,52 +1120,65 @@ impl<'a> Lp<'a> {
     /// Normalizes nonbasic statuses against the current bounds (a column
     /// cannot sit at an infinite bound) and recomputes basic values.
     ///
-    /// When the previous solve's bounds are known (`solve_pinned` keeps
-    /// them), the basic values are updated *incrementally* from the few
-    /// nonbasic columns whose resting value actually moved — a dive
-    /// changes one pin, not the whole problem.
+    /// When the bounds changed since the basic values were computed are
+    /// known (`changes_known`: a live dive after `solve_pinned`), only
+    /// those columns are visited, in ascending order: every other
+    /// nonbasic column rests at the same finite bound as before. The basic
+    /// values are updated *incrementally* from the few whose resting value
+    /// actually moved — a dive changes one pin, not the whole problem.
     fn rebind(&mut self) {
-        let n_total = self.form.n_total;
-        let incremental = self.prev_lo.len() == n_total && self.prev_up.len() == n_total;
-        let mut w = std::mem::take(&mut self.scratch_w);
-        let mut moved = 0usize;
-        for j in 0..n_total {
-            if self.status[j] == Status::Basic {
-                continue;
-            }
-            let old = if incremental {
-                match self.status[j] {
-                    Status::Upper => self.prev_up[j],
-                    _ => self.prev_lo[j],
+        #[cfg(test)]
+        let before = self.audit_rebind_start();
+        let mut full = !self.changes_known;
+        if full {
+            for j in 0..self.form.n_total {
+                if self.status[j] != Status::Basic {
+                    self.normalize_status(j);
                 }
-            } else {
-                0.0
-            };
-            if self.status[j] == Status::Lower && self.lo[j].is_infinite() {
-                self.status[j] = Status::Upper;
             }
-            if self.status[j] == Status::Upper && self.up[j].is_infinite() {
-                self.status[j] = Status::Lower;
-            }
-            if incremental && moved != usize::MAX {
+        } else {
+            let changed = std::mem::take(&mut self.changed);
+            let mut w = std::mem::take(&mut self.scratch_w);
+            for &(j, old_lo, old_up) in &changed {
+                if self.status[j] == Status::Basic {
+                    continue;
+                }
+                let old = match self.status[j] {
+                    Status::Upper => old_up,
+                    _ => old_lo,
+                };
+                self.normalize_status(j);
                 let delta = self.nb_value(j) - old;
-                if delta != 0.0 {
-                    if delta.is_finite() {
-                        // xb -= delta * B^-1 A_j.
-                        self.ftran(j, &mut w);
-                        for (xi, wi) in self.xb.iter_mut().zip(w.iter()) {
-                            *xi -= delta * wi;
-                        }
-                        moved += 1;
-                    } else {
-                        moved = usize::MAX; // infinite flip: full recompute
+                if full || delta == 0.0 {
+                    continue;
+                }
+                if delta.is_finite() {
+                    // xb -= delta * B^-1 A_j.
+                    self.ftran(j, &mut w);
+                    for (xi, wi) in self.xb.iter_mut().zip(w.iter()) {
+                        *xi -= delta * wi;
                     }
+                } else {
+                    full = true; // infinite flip: full recompute
                 }
             }
+            self.scratch_w = w;
+            self.changed = changed;
         }
-        self.scratch_w = w;
-        if !incremental || moved == usize::MAX {
+        if full {
             self.compute_xb();
+        }
+        #[cfg(test)]
+        self.audit_rebind_end(before);
+    }
+
+    /// Moves a nonbasic column off an infinite bound.
+    fn normalize_status(&mut self, j: usize) {
+        if self.status[j] == Status::Lower && self.lo[j].is_infinite() {
+            self.status[j] = Status::Upper;
+        }
+        if self.status[j] == Status::Upper && self.up[j].is_infinite() {
+            self.status[j] = Status::Lower;
         }
     }
 
@@ -1173,6 +1234,8 @@ impl<'a> Lp<'a> {
         }
         self.basic.copy_from_slice(&basis.basic);
         self.status.copy_from_slice(&basis.status);
+        // The basic values belong to another basis: rebind from scratch.
+        self.changes_known = false;
         if !self.invert_basis() {
             return None;
         }
@@ -1185,6 +1248,7 @@ impl<'a> Lp<'a> {
         let m = self.form.m;
         let n_total = self.form.n_total;
         self.drop_artificials();
+        self.y_valid = false;
         self.status.clear();
         self.status.resize(n_total, Status::Lower);
         for j in 0..n_total {
@@ -1252,6 +1316,7 @@ impl<'a> Lp<'a> {
             self.audit_install();
             self.compute_xb();
             // Phase-one objective: maximize -(sum of artificials).
+            self.y_valid = false;
             self.obj = vec![0.0; self.ncols()];
             for k in 0..self.art.len() {
                 self.obj[n_total + k] = -1.0;
@@ -1274,6 +1339,7 @@ impl<'a> Lp<'a> {
         }
 
         // Phase two: the real objective.
+        self.y_valid = false;
         self.obj.clear();
         self.obj.extend_from_slice(&self.form.obj);
         self.obj.resize(self.ncols(), 0.0);
@@ -1327,8 +1393,8 @@ impl<'a> Lp<'a> {
     /// Meaningful right after an optimal solve; used for reduced-cost
     /// fixing in branch & bound.
     pub(crate) fn structural_reduced_costs(&mut self) -> Vec<f64> {
-        let mut y = std::mem::take(&mut self.scratch_y);
-        self.compute_y(&mut y);
+        let mut y = std::mem::take(&mut self.y);
+        self.refresh_y(&mut y);
         let d = (0..self.form.n_struct)
             .map(|j| {
                 if self.status[j] == Status::Basic {
@@ -1338,7 +1404,7 @@ impl<'a> Lp<'a> {
                 }
             })
             .collect();
-        self.scratch_y = y;
+        self.y = y;
         d
     }
 
@@ -1665,6 +1731,12 @@ mod tests {
         shadow: Vec<f64>,
         pivots: usize,
         refactors: usize,
+        /// Bounds before the current solve when it came through
+        /// `solve_pinned` (the reference rebind's previous bounds).
+        prev_bounds: Option<(Vec<f64>, Vec<f64>)>,
+        /// Incremental rebinds and cached `y`s checked.
+        rebinds: usize,
+        cached_ys: usize,
     }
 
     impl Audit {
@@ -1774,6 +1846,94 @@ mod tests {
             );
             assert!(gj.rows.bits.iter().chain(&gj.cols.bits).all(|&b| b == 0));
             self.assert_matches_shadow();
+        }
+
+        /// Records the bounds a solve starts from: the reference rebind
+        /// diffs against them after `solve_pinned` and recomputes from
+        /// scratch after `solve`.
+        pub(super) fn audit_bounds(&mut self, pinned: bool) {
+            let n = self.form.n_total;
+            let prev = pinned.then(|| (self.lo[..n].to_vec(), self.up[..n].to_vec()));
+            if let Some(audit) = &mut self.audit {
+                audit.prev_bounds = prev;
+            }
+        }
+
+        /// The basic values and statuses an incremental rebind starts
+        /// from.
+        pub(super) fn audit_rebind_start(&self) -> Option<(Vec<f64>, Vec<Status>)> {
+            self.audit.as_ref()?;
+            self.changes_known
+                .then(|| (self.xb.clone(), self.status.clone()))
+        }
+
+        /// Replays an incremental rebind the full-scan way, every column
+        /// against the full previous bounds, and checks the statuses and
+        /// basic values bit for bit.
+        pub(super) fn audit_rebind_end(&mut self, before: Option<(Vec<f64>, Vec<Status>)>) {
+            let Some((xb, status)) = before else {
+                return;
+            };
+            let audit = self.audit.as_mut().expect("audited");
+            let (prev_lo, prev_up) = audit
+                .prev_bounds
+                .take()
+                .expect("incremental rebinds follow `solve_pinned`");
+            let got_xb = std::mem::replace(&mut self.xb, xb);
+            let got_status = std::mem::replace(&mut self.status, status);
+            self.rebind_full_scan(&prev_lo, &prev_up);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(got_status, self.status, "rebound statuses");
+            assert_eq!(bits(&got_xb), bits(&self.xb), "rebound basic values");
+            self.xb = got_xb;
+            if let Some(audit) = &mut self.audit {
+                audit.rebinds += 1;
+            }
+            self.audit_y();
+        }
+
+        /// The rebind of a dive that visits every column.
+        fn rebind_full_scan(&mut self, prev_lo: &[f64], prev_up: &[f64]) {
+            let mut w = vec![0.0; self.form.m];
+            let mut full = false;
+            for j in 0..self.form.n_total {
+                if self.status[j] == Status::Basic {
+                    continue;
+                }
+                let old = match self.status[j] {
+                    Status::Upper => prev_up[j],
+                    _ => prev_lo[j],
+                };
+                self.normalize_status(j);
+                let delta = self.nb_value(j) - old;
+                if !full && delta != 0.0 {
+                    if delta.is_finite() {
+                        self.ftran(j, &mut w);
+                        for (xi, wi) in self.xb.iter_mut().zip(&w) {
+                            *xi -= delta * wi;
+                        }
+                    } else {
+                        full = true;
+                    }
+                }
+            }
+            if full {
+                self.compute_xb();
+            }
+        }
+
+        /// A cached `y` must equal a recompute bit for bit.
+        pub(super) fn audit_y(&mut self) {
+            if self.audit.is_none() || !self.y_valid {
+                return;
+            }
+            let mut fresh = vec![0.0; self.form.m];
+            self.compute_y(&mut fresh);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&self.y), bits(&fresh), "cached y");
+            if let Some(audit) = &mut self.audit {
+                audit.cached_ys += 1;
+            }
         }
 
         /// After a product-form update.
@@ -1994,6 +2154,77 @@ mod tests {
         assert!(
             pivots > 1000 && refactors > 200,
             "{pivots} pivots, {refactors} refactors"
+        );
+    }
+
+    #[test]
+    fn node_path_matches_full_rescan() {
+        // Branch & bound's node path: one live workspace, a stack of pins
+        // that dives one pin at a time and backtracks several at once,
+        // over LPs whose Ge/Eq rows give slacks infinite or fixed bounds.
+        // Every eighth node restarts from the root basis instead, and must
+        // reach a fresh cold solve's optimum.
+        let (mut rebinds, mut cached_ys, mut restarts) = (0, 0, 0);
+        let shapes = [(6, 4), (12, 8), (20, 14), (36, 30), (48, 70)];
+        for (shape, &(n, m)) in shapes.iter().enumerate() {
+            for seed in 0..12 {
+                let mut rng = Rng::stream(1000 + seed, shape as u64);
+                let p = random_lp(&mut rng, n, m);
+                let form = StandardForm::build(&p);
+                let mut lp = Lp::new(&form).with_audit();
+                let mut trace = SolveTrace::default();
+                let (lo, up) = (form.lower.clone(), form.upper.clone());
+                let root = match lp.solve(&p, lo, up, Warm::Cold, &mut trace, true) {
+                    SolveOutcome::Optimal { basis, .. } => basis,
+                    _ => None,
+                };
+                let base = if seed % 2 == 0 {
+                    random_pins(&mut rng, &p)
+                } else {
+                    Vec::new()
+                };
+                let mut stack: Vec<(usize, f64)> = Vec::new();
+                for step in 0..40 {
+                    if !stack.is_empty() && rng.next_u64().is_multiple_of(3) {
+                        let keep = (rng.next_u64() % stack.len() as u64) as usize;
+                        stack.truncate(keep);
+                    } else {
+                        stack.extend(random_pins(&mut rng, &p).into_iter().take(1));
+                    }
+                    let warm = match &root {
+                        Some(basis) if step % 8 == 7 => Warm::Basis(basis),
+                        _ if lp.live_available() => Warm::Live,
+                        _ => Warm::Cold,
+                    };
+                    let out = lp.solve_pinned(&p, &base, &stack, warm, &mut trace, false);
+                    if let Warm::Basis(_) = warm {
+                        restarts += 1;
+                        let fresh = Lp::new(&form).solve_pinned(
+                            &p,
+                            &base,
+                            &stack,
+                            Warm::Cold,
+                            &mut trace,
+                            false,
+                        );
+                        match (out, fresh) {
+                            (
+                                SolveOutcome::Optimal { objective: a, .. },
+                                SolveOutcome::Optimal { objective: b, .. },
+                            ) => assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()), "{a} vs {b}"),
+                            (SolveOutcome::Infeasible, SolveOutcome::Infeasible) => {}
+                            (out, fresh) => panic!("restart {out:?} vs fresh {fresh:?}"),
+                        }
+                    }
+                }
+                let audit = lp.audit.take().expect("audited");
+                rebinds += audit.rebinds;
+                cached_ys += audit.cached_ys;
+            }
+        }
+        assert!(
+            rebinds > 2000 && cached_ys > 2000 && restarts > 200,
+            "{rebinds} incremental rebinds, {cached_ys} cached ys, {restarts} restarts"
         );
     }
 

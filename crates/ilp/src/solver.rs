@@ -17,7 +17,7 @@
 
 // lint:allow-file(index, branch-and-bound indexes variable arrays sized by the formulation)
 
-use crate::context::{fingerprint, solution_key, SolverContext};
+use crate::context::{fingerprint, solution_key, SearchWork, SolverContext};
 use crate::problem::{Problem, Relation, Sense};
 use crate::revised::{Lp, SolveOutcome, SolveTrace, StandardForm, Warm};
 use smart_units::{Result, SmartError};
@@ -219,6 +219,49 @@ impl Solver {
         self.solve_with(problem, ctx).into_result()
     }
 
+    /// Solves the problem `build` returns, which `digest` identifies, and
+    /// returns the workspace-wide [`Result`]. `build` returns the problem
+    /// and its incumbent seed; the seed replaces any set with
+    /// [`Solver::with_incumbent`].
+    ///
+    /// The context remembers which solution key each digest's problem
+    /// hashed to. A repeat solve of a known digest whose solution is
+    /// memoized returns it without calling `build`, so the problem is
+    /// neither built nor hashed; otherwise this is
+    /// [`Solver::try_solve_with`] on the built problem.
+    ///
+    /// `digest` must cover everything `build` reads and this solver's
+    /// node limit: two calls with one digest must build the same problem
+    /// and seed.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Solver::try_solve`].
+    pub fn try_solve_formulation(
+        &self,
+        ctx: &SolverContext,
+        digest: u128,
+        build: impl FnOnce() -> (Problem, Vec<f64>),
+    ) -> Result<MipSolution> {
+        if let Some(sol) = ctx
+            .formulation_key(digest)
+            .and_then(|key| ctx.solution_lookup(key))
+        {
+            ctx.note_formulation_hit();
+            return Ok(MipSolution::clone(&sol));
+        }
+        let (problem, seed) = build();
+        let solver = Self {
+            seed: Some(seed),
+            ..self.clone()
+        };
+        let key = solver.key(&problem);
+        ctx.formulation_store(digest, key);
+        solver
+            .solve_impl(&problem, Some((ctx, key)), &mut |_| {})
+            .into_result()
+    }
+
     /// Solves the problem.
     #[must_use]
     pub fn solve(&self, problem: &Problem) -> MipResult {
@@ -232,12 +275,14 @@ impl Solver {
     /// cold solves.
     #[must_use]
     pub fn solve_with(&self, problem: &Problem, ctx: &SolverContext) -> MipResult {
-        self.solve_impl(problem, Some(ctx), &mut |_| {})
+        self.solve_impl(problem, Some((ctx, self.key(problem))), &mut |_| {})
     }
 
     /// Like [`Solver::solve_with`], invoking `on_incumbent` for every
-    /// accepted incumbent (the validated seed first, if any, then each
-    /// strict improvement found by the search).
+    /// incumbent the search accepts (the validated seed first, if any,
+    /// then each strict improvement it finds). A solve answered from the
+    /// context's solution memo runs no search and never calls
+    /// `on_incumbent`.
     #[must_use]
     pub fn solve_with_callback(
         &self,
@@ -245,15 +290,30 @@ impl Solver {
         ctx: Option<&SolverContext>,
         on_incumbent: &mut dyn FnMut(&MipSolution),
     ) -> MipResult {
+        let ctx = ctx.map(|c| (c, self.key(problem)));
         self.solve_impl(problem, ctx, on_incumbent)
     }
 
+    /// The solution-memo key of `problem` under this configuration.
+    fn key(&self, problem: &Problem) -> u128 {
+        solution_key(
+            problem,
+            self.seed.as_deref(),
+            self.node_limit,
+            self.warm_start,
+        )
+    }
+
+    /// The search; `ctx` carries the context with `problem`'s
+    /// solution-memo key.
     fn solve_impl(
         &self,
         problem: &Problem,
-        ctx: Option<&SolverContext>,
+        ctx: Option<(&SolverContext, u128)>,
         on_incumbent: &mut dyn FnMut(&MipSolution),
     ) -> MipResult {
+        let memo_key = ctx.map(|(_, k)| k);
+        let ctx = ctx.map(|(c, _)| c);
         // Exact-match solution memo: branch & bound is deterministic, so a
         // solve of an identical (problem, seed, config) triple replays the
         // stored solution verbatim — objective, values, node count, and
@@ -261,14 +321,6 @@ impl Solver {
         // the path that makes warm `--cache-dir` reruns of ILP-heavy
         // experiments near-free, so it runs before any of the search's
         // set-up (standard form, structural fingerprint).
-        let memo_key = ctx.map(|_| {
-            solution_key(
-                problem,
-                self.seed.as_deref(),
-                self.node_limit,
-                self.warm_start,
-            )
-        });
         if let (Some(c), Some(k)) = (ctx, memo_key) {
             if let Some(sol) = c.solution_lookup(k) {
                 let sol = MipSolution::clone(&sol);
@@ -348,10 +400,13 @@ impl Solver {
                 c.note_cold();
             }
         }
-        let mut pivots_total = trace.pivots;
-        let mut refactors_total = trace.refactorizations;
+        let mut work = SearchWork {
+            pivots: trace.pivots,
+            refactorizations: trace.refactorizations,
+            ..SearchWork::default()
+        };
         if let Some(l) = &lane {
-            l.span("root relaxation", 0, pivots_total);
+            l.span("root relaxation", 0, work.pivots);
         }
         let (root_values, root_objective, root_basis) = match root_outcome {
             SolveOutcome::Optimal {
@@ -361,10 +416,10 @@ impl Solver {
             } => (values, objective, basis),
             SolveOutcome::Infeasible => {
                 if let Some(c) = ctx {
-                    c.note_search(pivots_total, refactors_total, 0);
+                    c.note_search(&work);
                 }
                 if let Some(l) = &lane {
-                    l.end("solve", pivots_total);
+                    l.end("solve", work.pivots);
                 }
                 // A validated seed proves feasibility; trust it over a
                 // numerically confused relaxation.
@@ -375,10 +430,10 @@ impl Solver {
             }
             SolveOutcome::Unbounded => {
                 if let Some(c) = ctx {
-                    c.note_search(pivots_total, refactors_total, 0);
+                    c.note_search(&work);
                 }
                 if let Some(l) = &lane {
-                    l.end("solve", pivots_total);
+                    l.end("solve", work.pivots);
                 }
                 return MipResult::Unbounded;
             }
@@ -460,6 +515,7 @@ impl Solver {
             // Best-bound pruning (granularity-aware).
             if let Some(inc) = &incumbent {
                 if node.bound <= inc.objective * sign + prune_margin(inc.objective) {
+                    work.pruned += 1;
                     continue;
                 }
             }
@@ -470,30 +526,35 @@ impl Solver {
                 Warm::Cold
             };
             let mut trace = SolveTrace::default();
-            let node_t0 = pivots_total;
+            let node_t0 = work.pivots;
             let outcome = lp.solve_pinned(problem, &fixed, &node.pins, warm, &mut trace, false);
-            pivots_total += trace.pivots;
-            refactors_total += trace.refactorizations;
+            work.pivots += trace.pivots;
+            work.refactorizations += trace.refactorizations;
             if let Some(l) = &lane {
-                l.span(&format!("node {nodes}"), node_t0, pivots_total);
+                l.span(&format!("node {nodes}"), node_t0, work.pivots);
             }
             let (values, objective) = match outcome {
                 SolveOutcome::Optimal {
                     values, objective, ..
                 } => (values, objective),
-                SolveOutcome::Infeasible => continue,
+                SolveOutcome::Infeasible => {
+                    work.infeasible += 1;
+                    continue;
+                }
                 SolveOutcome::Unbounded => {
                     if let Some(c) = ctx {
-                        c.note_search(pivots_total, refactors_total, nodes as u64);
+                        work.nodes = nodes as u64;
+                        c.note_search(&work);
                     }
                     if let Some(l) = &lane {
-                        l.end("solve", pivots_total);
+                        l.end("solve", work.pivots);
                     }
                     return MipResult::Unbounded;
                 }
             };
             if let Some(inc) = &incumbent {
                 if objective * sign <= inc.objective * sign + prune_margin(inc.objective) {
+                    work.pruned += 1;
                     continue;
                 }
             }
@@ -520,6 +581,7 @@ impl Solver {
             match frac_var {
                 None => {
                     // Integer feasible.
+                    work.integral += 1;
                     let better = incumbent
                         .as_ref()
                         .is_none_or(|inc| objective * sign > inc.objective * sign + INT_TOL);
@@ -535,6 +597,7 @@ impl Solver {
                     }
                 }
                 Some((v, _)) => {
+                    work.branched += 1;
                     let val = values[v.index()];
                     // Dive toward the nearer integer; the sibling waits on
                     // the heap.
@@ -576,10 +639,11 @@ impl Solver {
             }
         };
         if let Some(c) = ctx {
-            c.note_search(pivots_total, refactors_total, nodes as u64);
+            work.nodes = nodes as u64;
+            c.note_search(&work);
         }
         if let Some(l) = &lane {
-            l.end("solve", pivots_total);
+            l.end("solve", work.pivots);
         }
         if let (Some(c), Some(k)) = (ctx, memo_key) {
             if let MipResult::Optimal(s) | MipResult::Feasible(s) = &result {
