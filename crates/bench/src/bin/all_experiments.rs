@@ -4,15 +4,17 @@
 //!
 //! ```sh
 //! cargo run --release -p smart-bench --bin all_experiments             # everything
-//! cargo run --release -p smart-bench --bin all_experiments -- --list  # catalogue
+//! cargo run --release -p smart-bench --bin all_experiments -- --list   # catalogue
+//! cargo run --release -p smart-bench --bin all_experiments -- fig18    # one figure
 //! cargo run --release -p smart-bench --bin all_experiments -- fig18 fig19
 //! cargo run --release -p smart-bench --bin all_experiments -- --filter serving
 //! cargo run --release -p smart-bench --bin all_experiments -- --jobs 2 --check
 //! ```
 //!
 //! All flags come from the shared `smart_bench::cli` module; see
-//! `--help`. Experiments can be selected positionally by exact name or
-//! with `--filter` by group tag / name substring.
+//! `--help`. Experiments can be selected positionally by exact name
+//! (this is how one figure is regenerated on its own) or with `--filter`
+//! by group tag / name substring.
 
 use smart_bench::cli::{self, CliSpec, Format};
 use smart_bench::{registry, run_experiments};
@@ -28,17 +30,19 @@ const SPEC: CliSpec = CliSpec {
 fn main() -> ExitCode {
     let args = SPEC.parse_env_or_exit();
 
-    // Positional names (exact, validated) narrow the set first; --filter
-    // tags narrow by group/substring. Both empty = everything.
+    // Positional names (exact, validated, each kept once at its first
+    // occurrence) narrow the set first; --filter tags narrow by
+    // group/substring. Both empty = everything.
     let mut selected = registry::filtered(&args.filters);
     if !args.positional.is_empty() {
-        let mut picked = Vec::new();
+        let mut picked: Vec<&registry::ExperimentDescriptor> = Vec::new();
         for name in &args.positional {
             let Some(d) = registry::find(name) else {
                 eprintln!("unknown experiment `{name}`; try --list");
                 return ExitCode::FAILURE;
             };
-            if args.filters.is_empty() || selected.iter().any(|s| s.name == d.name) {
+            let filtered_in = selected.iter().any(|s| s.name == d.name);
+            if filtered_in && !picked.iter().any(|p| p.name == d.name) {
                 picked.push(d);
             }
         }
@@ -76,9 +80,7 @@ fn main() -> ExitCode {
         }
         Format::Csv => {
             for table in &tables {
-                println!("# {}: {}", table.name, table.title);
-                print!("{}", table.to_csv());
-                println!();
+                cli::print_table(table, Format::Csv);
             }
         }
     }

@@ -192,14 +192,7 @@ fn main() -> ExitCode {
                 s.solution_hits,
             );
         }
-        Format::Csv => {
-            println!("# {}: {}", table.name, table.title);
-            print!("{}", table.to_csv());
-            println!();
-        }
-        Format::Text => {
-            print!("{table}");
-        }
+        format => cli::print_table(&table, format),
     }
 
     if !cli::emit_observability(&args, &ctx) {

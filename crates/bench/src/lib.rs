@@ -1,9 +1,9 @@
 //! The typed, parallel experiment engine: one builder per table/figure of
 //! the paper, all producing [`ResultTable`]s.
 //!
-//! Every builder shares one implementation across the per-figure binaries
-//! (`cargo run -p smart-bench --bin fig18_single_speedup`), the
-//! `all_experiments` runner, and the tests. Builders take an
+//! Every builder shares one implementation across the `all_experiments`
+//! driver (`cargo run -p smart-bench --bin all_experiments -- fig18` for
+//! one figure), the library API, and the tests. Builders take an
 //! [`ExperimentContext`] — a shared memoized [`EvalCache`] plus a worker
 //! count — so repeated evaluation points (the TPU/SuperNPU baselines
 //! behind every normalized figure) are computed once, and independent
@@ -22,9 +22,9 @@
 //!
 //! Experiments are catalogued in the typed [`registry`]
 //! ([`registry::ExperimentDescriptor`]: name, paper figure, group tag,
-//! runner), and every binary under `src/bin/` parses its command line
-//! through the shared [`cli`] module, so `--list`, `--filter`, and the
-//! flag error messages are identical everywhere.
+//! runner), and the four drivers under `src/bin/` parse their command
+//! lines through the shared [`cli`] module, so the flag set and its error
+//! messages are identical everywhere.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -132,8 +132,9 @@ impl ExperimentContext {
     }
 
     /// A fully sequential context: deterministic single-thread execution
-    /// for debugging and tests. (The per-figure binaries use
-    /// [`ExperimentContext::default`], i.e. available parallelism.)
+    /// for debugging and tests. (The drivers use
+    /// [`ExperimentContext::default`], i.e. available parallelism, unless
+    /// `--jobs` says otherwise.)
     #[must_use]
     pub fn single_threaded() -> Self {
         Self::new(1)
@@ -292,26 +293,6 @@ impl Default for ExperimentContext {
     }
 }
 
-/// Runs one builder with the persistent stores of `cache_dir` (when
-/// given): load before (with the canonical stderr summary), save after.
-/// The shared body of the per-figure binaries; save failures warn on
-/// stderr rather than discarding the table.
-#[must_use]
-pub fn run_cached(
-    build: Experiment,
-    ctx: &ExperimentContext,
-    cache_dir: Option<&Path>,
-) -> ResultTable {
-    if let Some(dir) = cache_dir {
-        ctx.load_caches_verbose(dir);
-    }
-    let table = build(ctx);
-    if let Some(dir) = cache_dir {
-        ctx.save_caches_or_warn(dir);
-    }
-    table
-}
-
 /// A figure/table builder: takes the shared context, returns the typed
 /// result.
 pub type Experiment = fn(&ExperimentContext) -> ResultTable;
@@ -389,7 +370,7 @@ mod tests {
     #[test]
     fn dispatch_runs_cheap_experiments() {
         // Smoke the dispatch path on the cheap entries; the expensive
-        // sweeps are exercised by the per-figure binaries and CI's
+        // sweeps are exercised by the golden-snapshot test and CI's
         // all_experiments run.
         let ctx = ExperimentContext::single_threaded();
         for name in ["table2", "table4", "fig16", "ablation_lane_length"] {

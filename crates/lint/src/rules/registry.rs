@@ -1,15 +1,14 @@
 //! Rule `registry`: every view of the experiment catalogue agrees.
 //!
 //! The `ExperimentDescriptor` table in `smart-bench` is the single
-//! source of truth, but three other artifacts mirror it and can drift
-//! silently: the per-figure binaries under `crates/bench/src/bin/`, the
-//! `==== name ====` section headers of the golden snapshot, and the
-//! README's experiment catalogue. This rule cross-checks all three:
+//! source of truth, but two other artifacts mirror it and can drift
+//! silently: the `==== name ====` section headers of the golden snapshot
+//! and the README's experiment catalogue. This rule cross-checks both,
+//! and keeps `crates/bench/src/bin/` down to the four drivers:
 //!
-//! * every non-driver binary resolves to exactly one descriptor (stem
-//!   equals the name, or extends it with `_…`; the longest matching
-//!   name wins so `fig18_sweep` cannot accidentally claim `fig1`), and
-//!   every descriptor has at least one binary;
+//! * every binary under `src/bin/` is one of [`DRIVER_BINS`] (an
+//!   experiment is run by name through `all_experiments`, never by a
+//!   binary of its own);
 //! * the snapshot sections are exactly the registry names, in registry
 //!   order (the snapshot is regenerated in that order, so any deviation
 //!   means a stale or hand-edited golden file);
@@ -18,8 +17,8 @@
 
 use crate::rules::Finding;
 
-/// Front-end driver binaries that intentionally have no descriptor of
-/// their own (they iterate or wrap the registry instead).
+/// The only binaries `smart-bench` ships: front-end drivers that iterate
+/// or wrap the registry.
 pub const DRIVER_BINS: &[&str] = &[
     "all_experiments",
     "bench_check",
@@ -54,27 +53,12 @@ pub struct CatalogueEntry {
 /// The non-registry artifact paths, for findings.
 #[derive(Debug, Clone)]
 pub struct Paths {
-    /// Directory holding the experiment binaries.
+    /// Directory holding the driver binaries.
     pub bin_dir: String,
     /// The golden snapshot file.
     pub snapshot: String,
     /// The README.
     pub readme: String,
-}
-
-/// The descriptor a binary stem resolves to: the *longest* registry
-/// name the stem equals or extends with `_…`.
-#[must_use]
-pub fn bin_owner<'a>(stem: &str, registry: &'a [RegistryEntry]) -> Option<&'a RegistryEntry> {
-    registry
-        .iter()
-        .filter(|e| {
-            stem == e.name
-                || stem
-                    .strip_prefix(e.name.as_str())
-                    .is_some_and(|r| r.starts_with('_'))
-        })
-        .max_by_key(|e| e.name.len())
 }
 
 /// Runs the registry rule over the four catalogue views.
@@ -88,31 +72,18 @@ pub fn check(
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // Binaries <-> descriptors.
-    let mut owned: Vec<&str> = Vec::new();
+    // Binaries: drivers only.
     for stem in bins {
-        if DRIVER_BINS.contains(&stem.as_str()) {
-            continue;
-        }
-        match bin_owner(stem, registry) {
-            Some(e) => owned.push(e.name.as_str()),
-            None => findings.push(Finding {
+        if !DRIVER_BINS.contains(&stem.as_str()) {
+            findings.push(Finding {
                 file: format!("{}/{stem}.rs", paths.bin_dir),
                 line: 0,
                 rule: "registry",
                 message: format!(
-                    "binary `{stem}` matches no ExperimentDescriptor (and is not a known driver)"
+                    "binary `{stem}` is not one of the drivers ({}); run an experiment \
+                     as `all_experiments NAME`",
+                    DRIVER_BINS.join(", ")
                 ),
-            }),
-        }
-    }
-    for e in registry {
-        if !owned.contains(&e.name.as_str()) {
-            findings.push(Finding {
-                file: paths.bin_dir.clone(),
-                line: 0,
-                rule: "registry",
-                message: format!("experiment `{}` has no binary under src/bin/", e.name),
             });
         }
     }
@@ -238,11 +209,7 @@ mod tests {
             entry("fig18", "paper", "Figure 18"),
             entry("timing_stall_breakdown", "timing", "-"),
         ];
-        let bins = vec![
-            "all_experiments".to_owned(),
-            "fig18".to_owned(),
-            "timing_stall_breakdown".to_owned(),
-        ];
+        let bins = vec!["all_experiments".to_owned()];
         let sections = vec!["fig18".to_owned(), "timing_stall_breakdown".to_owned()];
         let catalogue = registry
             .iter()
@@ -265,32 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn longest_name_wins_bin_matching() {
-        let registry = vec![
-            entry("fig1", "paper", "Figure 1"),
-            entry("fig18", "paper", "Figure 18"),
-        ];
-        let owner = bin_owner("fig18_sweep", &registry);
-        assert_eq!(owner.map(|e| e.name.as_str()), Some("fig18"));
-        // `fig18x` extends neither name (no underscore separator).
-        assert!(bin_owner("fig18x", &registry).is_none());
-    }
-
-    #[test]
-    fn stray_bins_and_missing_bins_are_flagged() {
+    fn stray_bins_are_flagged() {
         let (registry, mut bins, sections, catalogue) = world();
-        bins.push("fig99".to_owned()); // stray
-        bins.retain(|b| b != "fig18"); // fig18 loses its binary
+        bins.push("fig18_single_speedup".to_owned());
         let f = check(&registry, &bins, &sections, &catalogue, &paths());
-        assert!(
-            f.iter()
-                .any(|x| x.message.contains("matches no ExperimentDescriptor")),
-            "{f:?}"
-        );
-        assert!(
-            f.iter().any(|x| x.message.contains("has no binary")),
-            "{f:?}"
-        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`fig18_single_speedup`"), "{f:?}");
+        assert!(f[0].message.contains("not one of the drivers"), "{f:?}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `workspace_is_lint_clean` is the same check CI runs via
 //! `smart_lint --check`, so plain `cargo test` already fails on
 //! layering, determinism, panic-freedom, or registry drift — including
-//! a new experiment added to the registry without a binary, snapshot
-//! section, or README catalogue row.
+//! a new experiment added to the registry without a snapshot section or
+//! README catalogue row, or a binary that is not one of the drivers.
 
 use smart_lint::rules::registry::{self, Paths};
 use smart_lint::{lint_workspace, registry_entries, workspace};
