@@ -1,32 +1,40 @@
-//! Adaptive-timestep transient integration over the sparse MNA core.
+//! Transient stepping over the sparse MNA core: one stamp cache, one LU
+//! kind and one Newton loop under two step policies.
 //!
-//! The fixed-step engine in [`crate::engine`] resolves a 60 ps SFQ run at
-//! the 0.02 ps step the *switching events* need, even though the junctions
-//! sit quiescent for most of the run. This module drives the same stamps
-//! through [`crate::sparse`] with step-doubling local-truncation-error
-//! (LTE) control instead:
+//! [`Engine::run`] and [`Engine::run_adaptive`] drive the stamps of
+//! [`crate::engine`] through [`crate::sparse`] with the same [`Workspace`]
+//! and the same per-step solve (`advance`). They differ only in how they
+//! choose and accept `h`:
 //!
-//! * every step is computed twice — once with `h`, once as two `h/2`
-//!   sub-steps — and the difference (Richardson) estimates the trapezoidal
-//!   LTE; the half-step solution is the one committed;
-//! * the step shrinks through JJ phase slips (where the sine branch makes
-//!   the solution stiff) and grows geometrically through quiescent
-//!   stretches, bounded by [`AdaptiveSpec::h_max`];
-//! * a Newton divergence at some `h` is treated as "step too large", not
-//!   failure: the step shrinks and retries until [`AdaptiveSpec::h_min`];
-//! * the per-step `h` is threaded through every companion model and the
-//!   dissipation integral (the same `commit_step` the fixed-step path
-//!   uses).
+//! * **fixed**: `t = h·k` for `k = 1..=ceil(stop / h)`, the final step
+//!   clamped onto `stop`; every step is accepted;
+//! * **adaptive**: a fixed step small enough for the *switching events*
+//!   (0.02 ps for a 60 ps SFQ run) is wasted on the stretches where the
+//!   junctions sit quiescent, so the step is chosen by step-doubling
+//!   local-truncation-error (LTE) control instead:
+//!   * every step is computed twice — once with `h`, once as two `h/2`
+//!     sub-steps — and the difference (Richardson) estimates the
+//!     trapezoidal LTE; the half-step solution is the one committed;
+//!   * the step shrinks through JJ phase slips (where the sine branch
+//!     makes the solution stiff) and grows geometrically through quiescent
+//!     stretches, bounded by [`AdaptiveSpec::h_max`];
+//!   * a Newton divergence at some `h` is treated as "step too large", not
+//!     failure: the step shrinks and retries until [`AdaptiveSpec::h_min`].
+//!
+//! Under both policies the per-step `h` is threaded through every companion
+//! model and the dissipation integral (`commit_step`).
 //!
 //! All numeric scratch lives in a reusable [`Workspace`] — the sparsity
 //! pattern and its symbolic LU are analyzed once per engine, and repeated
-//! runs (parameter sweeps re-simulating the same topology) allocate
-//! nothing beyond the returned trace.
+//! adaptive runs (parameter sweeps re-simulating the same topology)
+//! allocate nothing beyond the returned trace.
 
 // lint:allow-file(index, step-history indices are bounded by the ring length beside them)
 
 use crate::circuit::NodeId;
-use crate::engine::{ElementStates, Engine, SimulationError, Transient, MAX_NEWTON, NEWTON_TOL};
+use crate::engine::{
+    ElementStates, Engine, SimulationError, Transient, TransientSpec, MAX_NEWTON, NEWTON_TOL,
+};
 use crate::sparse::{SparseLu, SparseMatrix, SymbolicLu};
 
 /// Parameters of an adaptive transient run.
@@ -98,7 +106,8 @@ impl AdaptiveSpec {
 /// first half step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SubStep {
-    /// The single full-`h` probe step (reads committed states).
+    /// A full-`h` step: a fixed-policy step, or the adaptive trial's probe
+    /// step (reads committed states).
     Full,
     /// The first `h/2` step (reads committed states).
     FirstHalf,
@@ -258,8 +267,66 @@ impl Workspace {
 }
 
 impl Engine {
+    /// Runs a fixed-step transient, recording the requested probe nodes.
+    ///
+    /// The step grid is `t = h·k` for `k = 1..=ceil(stop / h)`; the final
+    /// step is clamped so the trace (and the dissipation integral) ends
+    /// exactly on `stop`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::UnknownProbe`] if a probe node does not
+    /// belong to the circuit, [`SimulationError::Singular`] for ill-formed
+    /// circuits, and [`SimulationError::NewtonDiverged`] if the junction
+    /// iteration fails.
+    pub fn run(
+        &self,
+        spec: TransientSpec,
+        probes: &[NodeId],
+    ) -> Result<Transient, SimulationError> {
+        self.check_probes(probes)?;
+        let mut ws = self.prepare_workspace();
+        let h = spec.step;
+        let steps = (spec.stop / h).ceil() as usize;
+        let mut times = Vec::with_capacity(steps + 1);
+        let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); probes.len()];
+        times.push(0.0);
+        self.record(&ws.x, probes, &mut voltages);
+
+        let mut dissipated = 0.0;
+        let mut t_prev = 0.0;
+        for k in 1..=steps {
+            // Full-length steps use `h` verbatim; only a final step past
+            // `stop` is clamped onto it.
+            let t_unclamped = h * k as f64;
+            let (t, hk) = if t_unclamped <= spec.stop {
+                (t_unclamped, h)
+            } else {
+                (spec.stop, spec.stop - t_prev)
+            };
+            if hk <= 0.0 {
+                // `ceil` rounding artifact: the previous step already
+                // reached `stop` exactly.
+                break;
+            }
+            self.advance(t, hk, SubStep::Full, &mut ws, Buf::X, Buf::XNew)?;
+            dissipated += self.commit_step(&ws.x_new, hk, &mut ws.states);
+            std::mem::swap(&mut ws.x, &mut ws.x_new);
+            t_prev = t;
+            times.push(t);
+            self.record(&ws.x, probes, &mut voltages);
+        }
+
+        Ok(Transient::from_parts(
+            times,
+            probes.to_vec(),
+            voltages,
+            dissipated,
+        ))
+    }
+
     /// Analyzes the circuit's sparsity pattern (symbolic stamps + fill-in)
-    /// and allocates the numeric scratch for adaptive runs. Reuse the
+    /// and allocates the numeric scratch for transient runs. Reuse the
     /// returned workspace across runs of the same engine via
     /// [`Engine::run_adaptive_with`] to amortize all allocation.
     #[must_use]
@@ -309,12 +376,9 @@ impl Engine {
         );
         ws.reset();
 
-        let mut times = Vec::new();
+        let mut times = vec![0.0];
         let mut voltages: Vec<Vec<f64>> = vec![Vec::new(); probes.len()];
-        times.push(0.0);
-        for (pi, p) in probes.iter().enumerate() {
-            voltages[pi].push(self.node_voltage(&ws.x, *p));
-        }
+        self.record(&ws.x, probes, &mut voltages);
 
         let mut dissipated = 0.0;
         let mut t = 0.0;
@@ -355,9 +419,7 @@ impl Engine {
             std::mem::swap(&mut ws.x, &mut ws.x_new);
             t += h;
             times.push(t);
-            for (pi, p) in probes.iter().enumerate() {
-                voltages[pi].push(self.node_voltage(&ws.x, *p));
-            }
+            self.record(&ws.x, probes, &mut voltages);
 
             // Grow (or keep) the step for the next interval.
             let fac = if est > 0.0 {
@@ -492,6 +554,13 @@ impl Engine {
             }
         }
         Err(SimulationError::NewtonDiverged { time: t_new })
+    }
+
+    /// Appends each probe's voltage in the solution `x` to its trace.
+    fn record(&self, x: &[f64], probes: &[NodeId], voltages: &mut [Vec<f64>]) {
+        for (trace, p) in voltages.iter_mut().zip(probes) {
+            trace.push(self.node_voltage(x, *p));
+        }
     }
 
     /// Commits the half-trial solution in `solution` into

@@ -39,8 +39,9 @@ const SETTLE: f64 = 20e-12;
 /// Width (sigma) of the injected SFQ-shaped input pulse (s).
 const PULSE_SIGMA: f64 = 2e-12;
 
-/// The fixed step matched to the seed engine's JJ runs, used by
-/// [`CellCircuit::measure_fixed`] as the dense-oracle reference.
+/// The fine fixed step of the reference runs: [`CellCircuit::measure_fixed`]
+/// steps the same sparse core at this `h` to check the adaptive step
+/// control against.
 pub const ORACLE_STEP: f64 = 0.02e-12;
 
 /// Any cell the characterization suite can measure. The enum is the cache
@@ -254,8 +255,9 @@ impl CellCircuit {
         Ok(self.extract(&out))
     }
 
-    /// Measures the cell with the seed fixed-step dense engine at
-    /// [`ORACLE_STEP`] — the accuracy/performance reference.
+    /// Measures the cell under the fixed step policy at [`ORACLE_STEP`]
+    /// ([`Engine::run`]: the same sparse core, every step accepted) — the
+    /// accuracy/performance reference for the adaptive policy.
     ///
     /// # Errors
     ///

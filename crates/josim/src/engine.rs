@@ -1,8 +1,12 @@
 //! Transient modified-nodal-analysis (MNA) engine.
 //!
-//! Integrates the circuit ODEs with the trapezoidal rule. Linear circuits
-//! assemble and factor their MNA matrix once; circuits containing Josephson
-//! junctions re-linearize the `Ic sin(phi)` branch each Newton iteration.
+//! Integrates the circuit ODEs with the trapezoidal rule. This module holds
+//! the element stamps, the companion-model state and the recorded trace;
+//! [`crate::adaptive`] steps them over the sparse core under a fixed
+//! ([`Engine::run`]) or an adaptive ([`Engine::run_adaptive`]) step policy.
+//! Linear circuits factor their MNA matrix once per step size; circuits
+//! containing Josephson junctions re-linearize the `Ic sin(phi)` branch
+//! each Newton iteration.
 //!
 //! The junction uses the RSJ model:
 //!
@@ -16,7 +20,6 @@
 // lint:allow-file(index, MNA system indices come from the circuit's node numbering, fixed at build time)
 
 use crate::circuit::{Circuit, Element, NodeId};
-use crate::linalg::{LuFactors, Matrix};
 use crate::sparse::{SparseMatrix, SparsityPattern};
 
 /// The magnetic flux quantum (Wb), re-declared locally so the engine has no
@@ -108,8 +111,8 @@ pub struct Transient {
 }
 
 impl Transient {
-    /// Assembles a recorded run (used by the fixed-step and adaptive
-    /// integrators).
+    /// Assembles a recorded run (used by the fixed-step and adaptive step
+    /// policies).
     pub(crate) fn from_parts(
         times: Vec<f64>,
         probes: Vec<NodeId>,
@@ -292,17 +295,10 @@ impl ElementStates {
     }
 }
 
-/// Anything an MNA stamp can target: the dense oracle matrix, the sparse
-/// engine matrix, or the pattern collector that performs the one-time
-/// symbolic dry run.
+/// Anything an MNA stamp can target: the sparse engine matrix, or the
+/// pattern collector that performs the one-time symbolic dry run.
 pub(crate) trait Stamp {
     fn add(&mut self, row: usize, col: usize, value: f64);
-}
-
-impl Stamp for Matrix {
-    fn add(&mut self, row: usize, col: usize, value: f64) {
-        Matrix::add(self, row, col, value);
-    }
 }
 
 impl Stamp for SparseMatrix {
@@ -392,101 +388,6 @@ impl Engine {
         }
     }
 
-    /// Runs a transient simulation, recording the requested probe nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::UnknownProbe`] if a probe node does not
-    /// belong to the circuit, [`SimulationError::Singular`] for ill-formed
-    /// circuits, and [`SimulationError::NewtonDiverged`] if the junction
-    /// iteration fails.
-    pub fn run(
-        &self,
-        spec: TransientSpec,
-        probes: &[NodeId],
-    ) -> Result<Transient, SimulationError> {
-        self.check_probes(probes)?;
-        let h = spec.step;
-        let steps = (spec.stop / h).ceil() as usize;
-        let nonlinear = self.circuit.is_nonlinear();
-
-        // Integration state.
-        let mut states = ElementStates::for_circuit(&self.circuit);
-
-        // For linear circuits the matrix never changes: factor once. (The
-        // clamped final step, if `stop` is not a multiple of `step`, uses
-        // its own shorter-step factorization below.)
-        let linear_factors: Option<LuFactors> = if nonlinear {
-            None
-        } else {
-            let mut m = Matrix::zeros(self.unknowns);
-            self.stamp_linear(&mut m, h);
-            Some(
-                m.lu()
-                    .map_err(|s| SimulationError::Singular { column: s.column })?,
-            )
-        };
-
-        let mut x = vec![0.0; self.unknowns];
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut voltages: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); probes.len()];
-        times.push(0.0);
-        for (pi, p) in probes.iter().enumerate() {
-            voltages[pi].push(self.node_voltage(&x, *p));
-        }
-        let mut dissipated = 0.0;
-        let mut t_prev = 0.0;
-
-        for k in 1..=steps {
-            // Clamp the final step so the trace (and the dissipation
-            // integral) lands exactly on `stop` instead of overshooting to
-            // `h * ceil(stop / h)`. Full-length steps keep using `h`
-            // verbatim so runs with divisible `stop / step` are unchanged.
-            let t_unclamped = h * k as f64;
-            let (t, hk) = if t_unclamped <= spec.stop {
-                (t_unclamped, h)
-            } else {
-                (spec.stop, spec.stop - t_prev)
-            };
-            if hk <= 0.0 {
-                // `ceil` rounding artifact: the previous step already
-                // reached `stop` exactly.
-                break;
-            }
-            let x_new = if nonlinear {
-                self.solve_nonlinear(t, hk, &x, &states)?
-            } else if hk == h {
-                let rhs = self.rhs_linear(t, h, &states);
-                // lint:allow(panic_freedom, the factors were computed for h before the stepping loop entered this branch)
-                linear_factors.as_ref().expect("factored").solve(&rhs)
-            } else {
-                // Clamped final step: the companion conductances depend on
-                // the step size, so refactor for `hk`.
-                let mut m = Matrix::zeros(self.unknowns);
-                self.stamp_linear(&mut m, hk);
-                let factors = m
-                    .lu()
-                    .map_err(|s| SimulationError::Singular { column: s.column })?;
-                factors.solve(&self.rhs_linear(t, hk, &states))
-            };
-
-            dissipated += self.commit_step(&x_new, hk, &mut states);
-            x = x_new;
-            t_prev = t;
-            times.push(t);
-            for (pi, p) in probes.iter().enumerate() {
-                voltages[pi].push(self.node_voltage(&x, *p));
-            }
-        }
-
-        Ok(Transient {
-            times,
-            probes: probes.to_vec(),
-            voltages,
-            dissipated,
-        })
-    }
-
     /// Advances every element's companion state past an accepted solve of
     /// step size `h`, returning the resistive energy dissipated during the
     /// step. Shared by the fixed-step and adaptive paths.
@@ -522,9 +423,9 @@ impl Engine {
                 Element::Junction {
                     a,
                     b,
-                    ic,
                     resistance,
                     capacitance,
+                    ..
                 } => {
                     let v = self.node_voltage(x_new, *a) - self.node_voltage(x_new, *b);
                     let s = &mut states.jjs[ji];
@@ -535,7 +436,6 @@ impl Engine {
                     // supercurrent itself is lossless; dissipation is
                     // v^2/R during the phase slip).
                     dissipated += (v * v / resistance) * h;
-                    let _ = ic;
                     s.phi = phi_new;
                     s.v = v;
                     s.i_cap = i_cap;
@@ -625,16 +525,8 @@ impl Engine {
         }
     }
 
-    /// Builds the RHS for the linear (and linear-part) companion sources at
-    /// time `t`.
-    fn rhs_linear(&self, t: f64, h: f64, states: &ElementStates) -> Vec<f64> {
-        let mut rhs = vec![0.0; self.unknowns];
-        self.rhs_linear_into(t, h, states, &mut rhs);
-        rhs
-    }
-
-    /// [`Engine::rhs_linear`] into a caller-provided buffer (the adaptive
-    /// path's allocation-free variant).
+    /// Writes the RHS of the linear (and linear-part) companion sources at
+    /// time `t` into `rhs`.
     pub(crate) fn rhs_linear_into(&self, t: f64, h: f64, states: &ElementStates, rhs: &mut [f64]) {
         rhs.fill(0.0);
         let mut ci = 0;
@@ -650,12 +542,11 @@ impl Engine {
                     // source geq*v_prev + i_prev flowing into node a.
                     self.rhs_inject(rhs, *a, *b, geq * s.v + s.i);
                 }
-                Element::Inductor { a, b, henries } => {
+                Element::Inductor { henries, .. } => {
                     let s = states.inds[ii];
                     ii += 1;
                     let j = self.inductor_branch[br];
                     br += 1;
-                    let _ = (a, b);
                     rhs[j] = -(2.0 * henries / h) * s.i - s.v;
                 }
                 Element::CurrentSource { from, to, waveform } => {
@@ -668,7 +559,6 @@ impl Engine {
 
     /// Adds the junction companion sources and sin-branch linearization
     /// around the voltage guess `x` to an already linear-stamped system.
-    /// Shared by the dense and sparse Newton loops.
     pub(crate) fn stamp_junctions<M: Stamp>(
         &self,
         m: &mut M,
@@ -702,37 +592,6 @@ impl Engine {
                 self.rhs_inject(rhs, *a, *b, geq * s.v + s.i_cap);
             }
         }
-    }
-
-    fn solve_nonlinear(
-        &self,
-        t: f64,
-        h: f64,
-        x_prev: &[f64],
-        states: &ElementStates,
-    ) -> Result<Vec<f64>, SimulationError> {
-        let mut x = x_prev.to_vec();
-        for _ in 0..MAX_NEWTON {
-            let mut m = Matrix::zeros(self.unknowns);
-            self.stamp_linear(&mut m, h);
-            let mut rhs = self.rhs_linear(t, h, states);
-            self.stamp_junctions(&mut m, &mut rhs, h, &x, states);
-
-            let factors = m
-                .lu()
-                .map_err(|s| SimulationError::Singular { column: s.column })?;
-            let x_new = factors.solve(&rhs);
-            let delta = x_new
-                .iter()
-                .zip(x.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            x = x_new;
-            if delta < NEWTON_TOL {
-                return Ok(x);
-            }
-        }
-        Err(SimulationError::NewtonDiverged { time: t })
     }
 }
 

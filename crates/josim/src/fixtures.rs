@@ -133,11 +133,10 @@ impl PtlFixture {
     /// Propagates engine failures (singular matrix / Newton divergence)
     /// as [`smart_units::SmartError::Simulation`].
     pub fn run(&self) -> Result<PtlMeasurement> {
-        // Simulate long enough for the pulse to arrive plus margin. The
-        // margin is rounded up to a whole number of steps: the engine now
-        // clamps the final step to land exactly on `stop`, and rounding
-        // here keeps the integration span identical to the seed's
-        // `ceil(stop / step)` full steps (Fig. 13 numbers unchanged).
+        // Simulate long enough for the pulse to arrive plus margin, under
+        // the fixed step policy. The margin is rounded up to a whole number
+        // of steps, so the grid `t = step·k` ends on `stop` with a full
+        // step and the clamp of a short final step never applies.
         let analytic_delay = self.geometry.delay_per_meter() * self.length.as_m();
         let step = 0.02e-12;
         let stop = step * ((20.0e-12 + 3.0 * analytic_delay) / step).ceil();

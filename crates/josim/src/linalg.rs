@@ -1,12 +1,14 @@
-//! Dense linear algebra for the circuit engine: LU factorization with
-//! partial pivoting and triangular solves.
+//! Dense linear algebra: LU factorization with partial pivoting and
+//! triangular solves.
 //!
-//! The modified-nodal-analysis matrices of `josim-lite` circuits are small
-//! (tens to a few hundreds of unknowns), so a dense LU is both simple and
-//! fast enough. For linear circuits the factorization is computed once and
-//! reused every timestep.
+//! The engine factors with the sparse LU in [`crate::sparse`]; this dense
+//! LU is the reference that tests compare it against on stamped MNA
+//! matrices.
 
 // lint:allow-file(index, LU kernel; pivot and row indices are bounded by the square dimension asserted at entry)
+
+pub use crate::sparse::SingularMatrix;
+use crate::sparse::PIVOT_TINY;
 
 /// A dense row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +96,7 @@ impl Matrix {
                     pivot_row = r;
                 }
             }
-            if pivot_val < 1e-300 {
+            if pivot_val < PIVOT_TINY {
                 return Err(SingularMatrix { column: k });
             }
             if pivot_row != k {
@@ -115,21 +117,6 @@ impl Matrix {
         Ok(LuFactors { n, lu, perm })
     }
 }
-
-/// Error returned when a matrix cannot be factorized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SingularMatrix {
-    /// Column at which elimination broke down.
-    pub column: usize,
-}
-
-impl std::fmt::Display for SingularMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "singular matrix at column {}", self.column)
-    }
-}
-
-impl std::error::Error for SingularMatrix {}
 
 /// LU factors produced by [`Matrix::lu`], reusable across right-hand sides.
 #[derive(Debug, Clone)]

@@ -1,7 +1,8 @@
 //! Sparse linear algebra for the circuit engine: a CSR stamp matrix over a
 //! fixed sparsity pattern, and an LU factorization whose symbolic (fill-in)
 //! analysis is performed once and reused across every Newton iteration and
-//! timestep.
+//! timestep. It is the only LU the engine factors with, under both the
+//! fixed and the adaptive step policy.
 //!
 //! The modified-nodal-analysis matrix of a circuit has a *static* nonzero
 //! pattern: element stamps always hit the same `(row, col)` positions, only
@@ -21,17 +22,31 @@
 //! inductor branch rows carry `-2L/h` on the diagonal), the same property
 //! SPICE-class engines rely on to fix the pivot order up front. The
 //! factorization eliminates in natural order without row exchanges and
-//! reports [`SingularMatrix`] when a pivot underflows — the dense path in
-//! [`crate::linalg`] (which *does* pivot) remains available as the oracle,
-//! and the property suite checks both agree on stamped circuit matrices.
+//! reports [`SingularMatrix`] when a pivot underflows. The dense
+//! partial-pivoting LU in [`crate::linalg`] is kept only as the reference
+//! that tests compare against: the property suite checks both agree on
+//! stamped circuit matrices, inductor branch rows included.
 
 // lint:allow-file(index, CSR kernel; offsets come from the sparsity pattern built beside them)
 
-use crate::linalg::SingularMatrix;
+/// Pivot magnitude below which a factorization reports singularity (this
+/// LU and the dense reference in [`crate::linalg`] share it).
+pub(crate) const PIVOT_TINY: f64 = 1e-300;
 
-/// Pivot magnitude below which the factorization reports singularity.
-/// Matches the dense path's threshold in [`crate::linalg::Matrix::lu`].
-const PIVOT_TINY: f64 = 1e-300;
+/// Error returned when a matrix cannot be factorized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SingularMatrix {
+    /// Column at which elimination broke down.
+    pub column: usize,
+}
+
+impl std::fmt::Display for SingularMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "singular matrix at column {}", self.column)
+    }
+}
+
+impl std::error::Error for SingularMatrix {}
 
 /// A fixed CSR sparsity pattern: sorted, deduplicated column indices per
 /// row, with the diagonal always present (every MNA row produced by the

@@ -585,21 +585,27 @@ proptest! {
 
     /// The sparse LU (fixed symbolic pattern, no pivoting) and the dense
     /// partial-pivoting LU agree on random stamped MNA-style matrices:
-    /// conductance ladders with random bridges and grounded diagonals —
-    /// exactly the structure the circuit engine stamps.
+    /// conductance ladders with random bridges and grounded diagonals, plus
+    /// inductor branch rows (a branch unknown `j` with `±1` couplings to its
+    /// two nodes and `-2L/h` on the diagonal) — exactly the structure the
+    /// circuit engine stamps, including the PTL ladders of Fig. 13.
     #[test]
     fn sparse_and_dense_lu_agree_on_stamped_mna(
         grounds in prop::collection::vec(1u32..100, 3..16),
         ladder in prop::collection::vec(1u32..100, 3..16),
         // Each entry encodes one bridge as (a, b, g) in base 16/16/50.
         bridges in prop::collection::vec(0u64..(16 * 16 * 50), 0..6),
+        // Each entry encodes one inductor as (a, b, 2L/h) in base 16/17/50;
+        // b = 16 (or b == a) ties the inductor to ground.
+        inductors in prop::collection::vec(0u64..(16 * 17 * 50), 0..6),
         rhs in prop::collection::vec(1u32..100, 3..16),
     ) {
         use smart::josim::linalg::Matrix;
         use smart::josim::sparse::{SparseLu, SparseMatrix, SparsityPattern, SymbolicLu};
 
-        let n = grounds.len().min(ladder.len()).min(rhs.len());
-        prop_assume!(n >= 3);
+        let nodes = grounds.len().min(ladder.len()).min(rhs.len());
+        prop_assume!(nodes >= 3);
+        let n = nodes + inductors.len();
 
         // Collect stamp positions (the engine's symbolic dry run).
         let mut positions = Vec::new();
@@ -612,18 +618,33 @@ proptest! {
                 st.push((b, a, -g));
             }
         };
-        for i in 0..n {
+        for i in 0..nodes {
             conduct(i, None, f64::from(grounds[i]) * 0.1, &mut stamps);
             if i > 0 {
                 conduct(i, Some(i - 1), f64::from(ladder[i]) * 0.1, &mut stamps);
             }
         }
         for &enc in &bridges {
-            let (a, b) = ((enc % 16) as usize % n, (enc / 16 % 16) as usize % n);
+            let (a, b) = ((enc % 16) as usize % nodes, (enc / 16 % 16) as usize % nodes);
             let g = (enc / 256 + 1) as f64;
             if a != b {
                 conduct(a, Some(b), g * 0.1, &mut stamps);
             }
+        }
+        // Branch unknowns follow the node voltages, as in the engine.
+        for (k, &enc) in inductors.iter().enumerate() {
+            let j = nodes + k;
+            let a = (enc % 16) as usize % nodes;
+            let b = (enc / 16 % 17) as usize;
+            let b = (b < 16 && b % nodes != a).then_some(b % nodes);
+            let two_l_over_h = (enc / (16 * 17) + 1) as f64 * 0.1;
+            stamps.push((a, j, 1.0));
+            stamps.push((j, a, 1.0));
+            if let Some(b) = b {
+                stamps.push((b, j, -1.0));
+                stamps.push((j, b, -1.0));
+            }
+            stamps.push((j, j, -two_l_over_h));
         }
         for &(r, c, _) in &stamps {
             positions.push((r, c));
@@ -638,7 +659,7 @@ proptest! {
 
         let mut slu = SparseLu::new(SymbolicLu::analyze(sparse.pattern()));
         slu.refactor(&sparse).expect("grounded ladder is nonsingular");
-        let b: Vec<f64> = rhs.iter().take(n).map(|&v| f64::from(v)).collect();
+        let b: Vec<f64> = rhs.iter().cycle().take(n).map(|&v| f64::from(v)).collect();
         let xs = slu.solve(&b);
         let xd = dense.lu().expect("nonsingular").solve(&b);
         for (s, d) in xs.iter().zip(xd.iter()) {
