@@ -366,8 +366,11 @@ fn search_space() -> smart_search::SearchSpace {
 
 /// The naive design-space baseline: every config pays a direct analytic
 /// evaluation and a cold per-config ILP compile of all 8 AlexNet layers;
-/// frontier replays start cold too. Sequential, like the engine's
-/// ILP/replay stages, so the comparison isolates warm starts + pruning.
+/// frontier replays start cold too. Pinned at `jobs` 1 although
+/// `search_naive` fans its configs out over `cfg.jobs`: the sequential
+/// baseline keeps this id comparable with the `BENCH_ilp.json` record,
+/// and the comparison with `search_1000pt_warm` isolates warm starts +
+/// pruning.
 fn bench_search_cold(c: &mut Criterion) {
     use smart_search::{search_naive, SearchConfig};
     let space = search_space();

@@ -98,10 +98,12 @@ pub struct ExperimentContext {
     /// `(Scheme, ModelId, TimingConfig)` value (the `timing_*`
     /// experiments share their nominal SMART replays this way).
     pub timing: Arc<TimingCache>,
-    /// Worker-thread budget for this context's fan-outs (sweep points,
-    /// grid cells). `1` means fully sequential. [`run_experiments`] splits
-    /// the budget between the experiment level and the per-experiment
-    /// level so total concurrency stays ~`jobs`, not `jobs^2`.
+    /// Worker-thread budget for this context's fan-outs (experiments,
+    /// sweep points, grid cells). `1` means fully sequential. Every level
+    /// fans out with the full `jobs`: a sweep nested inside
+    /// [`run_experiments`]' workers draws its helpers from the same
+    /// [`parallel_map`] budget, so total concurrency stays at `jobs`, not
+    /// `jobs^2`.
     pub jobs: usize,
     /// Span recorder for `--trace-out`: disabled (free) by default;
     /// clones share the same buffer, so experiments running on worker
@@ -138,21 +140,6 @@ impl ExperimentContext {
     #[must_use]
     pub fn single_threaded() -> Self {
         Self::new(1)
-    }
-
-    /// A context sharing this one's caches with a different worker budget
-    /// (how [`run_experiments`] hands experiments their share of `jobs`).
-    #[must_use]
-    pub fn with_jobs(&self, jobs: usize) -> Self {
-        Self {
-            cache: Arc::clone(&self.cache),
-            circuits: Arc::clone(&self.circuits),
-            timing: Arc::clone(&self.timing),
-            jobs: jobs.max(1),
-            tracer: self.tracer.clone(),
-            wall: Arc::clone(&self.wall),
-            metrics: Arc::clone(&self.metrics),
-        }
     }
 
     /// This context with span recording switched to `tracer` (clones
@@ -322,20 +309,20 @@ pub fn all_experiments(ctx: &ExperimentContext) -> Vec<ResultTable> {
 /// order. Unknown names are skipped (validate against
 /// [`experiment_names`] first to report them).
 ///
-/// The `jobs` budget is split across the two fan-out levels: up to
-/// `min(jobs, experiments)` experiments run concurrently, and each
-/// receives `jobs / outer` workers for its internal sweeps/grids, so
-/// total concurrency stays around `jobs` rather than `jobs^2`.
+/// Up to `min(jobs, experiments)` experiments run concurrently, and each
+/// fans its internal sweeps/grids out with the same `jobs`. Those nested
+/// fan-outs share one budget with the experiment level (see
+/// [`parallel_map`]), so total concurrency stays at `jobs` rather than
+/// `jobs^2`, and a worker that runs out of experiments joins the sweeps
+/// of the ones still running.
 #[must_use]
 pub fn run_experiments(names: &[&str], ctx: &ExperimentContext) -> Vec<ResultTable> {
     let selected: Vec<&'static registry::ExperimentDescriptor> = names
         .iter()
         .filter_map(|name| registry::find(name))
         .collect();
-    let outer = ctx.jobs.min(selected.len()).max(1);
-    let inner = ctx.with_jobs(ctx.jobs / outer);
-    parallel_map(outer, &selected, |d| {
-        ctx.wall.time(d.name, || (d.run)(&inner))
+    parallel_map(ctx.jobs, &selected, |d| {
+        ctx.wall.time(d.name, || (d.run)(ctx))
     })
 }
 

@@ -16,7 +16,8 @@
 //! * [`scenario`] — [`Scenario`], a named sweep over typed points that runs
 //!   its points through a worker pool,
 //! * [`pool`] — [`parallel_map`], an order-preserving `std::thread::scope`
-//!   worker pool (no dependencies, no unsafe).
+//!   worker pool whose nested maps share one worker budget (no
+//!   dependencies, no unsafe).
 //!
 //! # Examples
 //!

@@ -61,7 +61,8 @@ pub struct SearchConfig {
     pub epsilon: f64,
     /// Worker threads for the analytic fan-out and for the ILP stage's
     /// prefetch-window blocks (at most one thread per block; the replay
-    /// stage is sequential).
+    /// stage is sequential). [`search_naive`] fans its per-config compiles
+    /// and replays out over the same count.
     pub jobs: usize,
 }
 
@@ -392,14 +393,19 @@ pub fn search(
 
 /// The baseline the engine's speedup is measured against: every point of
 /// the space pays the full cost — a direct (uncached) analytic evaluation,
-/// a cold per-config ILP compile of every layer, and a cold replay for
-/// each frontier point. No pruning, no sharing; `cfg.jobs` is ignored (the
-/// baseline is sequential). Produces the exact same frontier as
-/// [`search`].
+/// a cold per-config ILP compile of every layer on the config's own fresh
+/// [`SolverContext`], and a cold replay for each frontier point. No
+/// pruning, no sharing. Produces the exact same frontier as [`search`].
+///
+/// The per-config work (ILP compile, plus the replay on the frontier)
+/// fans out over `cfg.jobs` workers. Results land by config index and the
+/// solver counters are summed in config order, so the outcome is the same
+/// at any `jobs`.
 ///
 /// # Errors
 ///
-/// As for [`search`].
+/// As for [`search`]. When several configs fail, the error is that of the
+/// lowest-index one (its ILP compile's, else its replay's), at any `jobs`.
 pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOutcome> {
     let params = space.points();
     let schemes = build_schemes(&params)?;
@@ -416,31 +422,33 @@ pub fn search_naive(space: &SearchSpace, cfg: &SearchConfig) -> Result<SearchOut
     let frontier = pareto_frontier(&objectives);
     let mut points = analytic_points(params, schemes, objectives);
 
-    let mut solver_totals = SearchStats::default();
-    for p in &mut points {
+    let per_config = parallel_map(cfg.jobs.max(1), &survivors, |&i| -> Result<_> {
+        let p = &points[i];
         // A fresh context per config: nothing warm-starts, by construction.
         let solver = SolverContext::new();
-        p.ilp = Some(ilp_metrics(
-            &p.scheme,
-            &model,
-            cfg.timing.max_iterations,
-            &solver,
-        )?);
-        let s = solver.stats();
+        let ilp = ilp_metrics(&p.scheme, &model, cfg.timing.max_iterations, &solver)?;
+        let replay = match frontier.binary_search(&i) {
+            Ok(_) => {
+                let latency = simulate_scheme(&p.scheme, &model, &cfg.timing)?.total_time();
+                Some(ReplayCheck {
+                    latency,
+                    vs_analytic: latency.as_s() / p.objectives.latency.as_s(),
+                })
+            }
+            Err(_) => None,
+        };
+        Ok((ilp, solver.stats(), replay))
+    });
+
+    let mut solver_totals = SearchStats::default();
+    for (p, config) in points.iter_mut().zip(per_config) {
+        let (ilp, s, replay) = config?;
+        p.ilp = Some(ilp);
+        p.replay = replay;
         solver_totals.warm_attempts += s.warm_attempts;
         solver_totals.warm_hits += s.warm_hits;
         solver_totals.cold_solves += s.cold_solves;
         solver_totals.solution_hits += s.solution_hits;
-    }
-
-    for &i in &frontier {
-        let p = &mut points[i];
-        let report = simulate_scheme(&p.scheme, &model, &cfg.timing)?;
-        let latency = report.total_time();
-        p.replay = Some(ReplayCheck {
-            latency,
-            vs_analytic: latency.as_s() / p.objectives.latency.as_s(),
-        });
     }
 
     let stats = SearchStats {
@@ -553,6 +561,29 @@ mod tests {
                 assert_eq!(a.ilp, b.ilp);
                 assert_eq!(a.replay, b.replay);
             }
+        }
+    }
+
+    #[test]
+    fn naive_outcome_is_identical_across_jobs() {
+        let space = three_windows();
+        let runs: Vec<SearchOutcome> = [1usize, 2, 4]
+            .iter()
+            .map(|&jobs| search_naive(&space, &SearchConfig::new(jobs)).expect("searches"))
+            .collect();
+        for run in &runs[1..] {
+            assert_eq!(run.frontier, runs[0].frontier);
+            assert_eq!(run.survivors, runs[0].survivors);
+            assert_eq!(run.stats, runs[0].stats);
+            for (a, b) in run.points.iter().zip(&runs[0].points) {
+                assert_eq!(a.objectives, b.objectives);
+                assert_eq!(a.ilp, b.ilp);
+                assert_eq!(a.replay, b.replay);
+            }
+        }
+        for (i, p) in runs[0].points.iter().enumerate() {
+            assert!(p.ilp.is_some(), "point {i} is compiled");
+            assert_eq!(p.replay.is_some(), runs[0].frontier.contains(&i));
         }
     }
 

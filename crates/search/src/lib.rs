@@ -22,8 +22,9 @@
 //!   itself is confirmed by the `smart-timing` cycle-level replay.
 //! * [`search_naive`] is the baseline the speedup is measured against:
 //!   per-config cold solves for every point of the space, no caches, no
-//!   pruning. It must — and the tests assert it does — produce the exact
-//!   same frontier.
+//!   pruning, the configs fanned out over the same `jobs` workers. It
+//!   must — and the tests assert it does — produce the exact same
+//!   frontier.
 //!
 //! Everything is deterministic: objectives are pure values, pruning is a
 //! pure function of them, each ILP warm-start chain runs in canonical
